@@ -11,7 +11,8 @@ Subcommands::
 Formats: ``pretty`` (6 significant digits, human), ``csv`` and ``json``
 (17 significant digits, bit-stable across runs).  Exit codes: 0 success,
 2 usage or domain error, 3 I/O error, 4 eigensolver not converged,
-5 degenerate ground state, 6 no bisection bracket, 7 non-monotone scan.
+5 degenerate ground state, 6 no bisection bracket, 7 non-monotone scan or
+a jump of f_s over the target.
 The ``KE_THREADS`` environment variable caps sweep parallelism.
 """
 
@@ -232,6 +233,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     h = kondo_sim.build_hamiltonian(model, basis)
     method = "dense" if args.dense else "auto"
     g = kondo_sim.ground_state(h, method=method)
+    del h  # freed before the next sector's H is built, which lowers the peak memory
     e_high = kondo_sim.sector_ground_energy(model, (model.default_sz2() + 2) / 2.0, method=method)
     singlet = g.energy < e_high - kondo_sim.SINGLET_MARGIN
     rho = kondo_sim.impurity_rdm(g, basis)

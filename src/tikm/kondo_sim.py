@@ -26,6 +26,7 @@ Encoding conventions (fixed so tests can be bit-exact):
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -62,6 +63,14 @@ DEGENERACY_ATOL = 1e-9
 #: Energy margin by which the low-S^z sector must win for a singlet verdict.
 SINGLET_MARGIN = 1e-9
 
+#: Most bisection steps ``find_crossing`` takes; a ``tol`` below 2**-64 of the
+#: bracket is refused.
+MAX_BISECTIONS = 64
+
+#: A final bisection bracket across which f_s changes by more than this many
+#: times the pre-grid's secant slope times the bracket width spans a jump.
+JUMP_FACTOR = 100.0
+
 
 @dataclass(frozen=True)
 class ChainModel:
@@ -86,6 +95,9 @@ class ChainModel:
         L = self.sites
         if not 1 <= L <= MAX_SITES:
             raise ValueError(f"sites must be in [1, {MAX_SITES}], got {L!r}")
+        for name in ("hopping", "jk", "idirect"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.hopping < 0.0:
             raise ValueError(f"hopping must be >= 0, got {self.hopping!r}")
         if self.jk < 0.0:
@@ -156,12 +168,20 @@ def _sz2_of(sz_total: float) -> int:
     return sz2
 
 
+def _spin_occupations(sites: int, count: int, spin: int) -> np.ndarray:
+    """Occupation bits of every way to place ``count`` electrons of one spin on the chain."""
+    return np.array(
+        [sum(1 << (2 * s + spin) for s in chosen) for chosen in combinations(range(sites), count)],
+        dtype=np.int64,
+    )
+
+
 def build_basis(model: ChainModel, sz_total: float | None = None) -> SectorBasis:
     """Enumerate the sector with the model's electron number and given total S^z.
 
     The enumeration is exhaustive and duplicate free: for each impurity
-    configuration the electron up/down split is fixed by the S^z balance and
-    occupations are generated site-combinatorially.
+    configuration the electron up/down split is fixed by the S^z balance, and
+    every up occupation is joined with every down occupation.
     """
     sz2 = model.default_sz2() if sz_total is None else _sz2_of(sz_total)
     L = model.sites
@@ -169,7 +189,7 @@ def build_basis(model: ChainModel, sz_total: float | None = None) -> SectorBasis
     n_orb = 2 * L
     if (ne - sz2) % 2 != 0:
         raise EmptySectorError(f"no states: {ne} electrons plus two impurities cannot reach 2*S^z = {sz2}")
-    codes: list[int] = []
+    blocks: list[np.ndarray] = []
     for imp in range(4):
         imp_sz2 = 2 * int(imp).bit_count() - 2
         e_sz2 = sz2 - imp_sz2
@@ -179,120 +199,86 @@ def build_basis(model: ChainModel, sz_total: float | None = None) -> SectorBasis
         nd = ne - nu
         if not (0 <= nu <= L and 0 <= nd <= L):
             continue
-        imp_part = imp << n_orb
-        for up_sites in combinations(range(L), nu):
-            up_occ = 0
-            for s in up_sites:
-                up_occ |= 1 << (2 * s)
-            for dn_sites in combinations(range(L), nd):
-                occ = up_occ
-                for s in dn_sites:
-                    occ |= 1 << (2 * s + 1)
-                codes.append(imp_part | occ)
-    if not codes:
+        up = _spin_occupations(L, nu, 0)
+        dn = _spin_occupations(L, nd, 1)
+        blocks.append(((imp << n_orb) | up[:, None] | dn[None, :]).ravel())
+    if not blocks:
         raise EmptySectorError(f"no states with {ne} electrons and 2*S^z = {sz2} on {L} sites")
-    codes.sort()
-    return SectorBasis(sites=L, nelec=ne, sz2=sz2, codes=np.array(codes, dtype=np.int64))
+    return SectorBasis(sites=L, nelec=ne, sz2=sz2, codes=np.sort(np.concatenate(blocks)))
 
 
-def _sign_below(occ: int, p: int) -> float:
-    return -1.0 if (occ & ((1 << p) - 1)).bit_count() & 1 else 1.0
-
-
-def _hop(occ: int, p_to: int, p_from: int) -> tuple[int, float] | None:
-    """Apply c+_{p_to} c_{p_from}; None if blocked by occupation."""
-    if not (occ >> p_from) & 1:
-        return None
-    sign = _sign_below(occ, p_from)
-    occ1 = occ ^ (1 << p_from)
-    if (occ1 >> p_to) & 1:
-        return None
-    return occ1 | (1 << p_to), sign * _sign_below(occ1, p_to)
+def _bit(codes: np.ndarray, p: int) -> np.ndarray:
+    return (codes >> p) & 1
 
 
 def build_hamiltonian(model: ChainModel, basis: SectorBasis) -> sparse.csr_matrix:
     """Assemble the sector Hamiltonian as a real symmetric CSR matrix.
 
-    Every generated target state is looked up in the sector; a missing target
-    would mean a term leaks out of the symmetry sector and raises immediately.
+    Each off-diagonal term is applied to all basis codes at once: a mask
+    selects the states it acts on, an XOR flips the bits it changes, and the
+    fermionic sign is the parity of the occupied orbitals strictly between
+    the two it moves an electron across.  Every target is looked up in the
+    sorted sector codes; a missing target would mean a term leaks out of the
+    symmetry sector and raises immediately.
     """
     L = model.sites
     n_orb = 2 * L
-    occ_mask = (1 << n_orb) - 1
     t = model.hopping
     jk = model.jk
     idir = model.idirect
     codes = basis.codes
-    index = {int(c): i for i, c in enumerate(codes)}
+    rows: list[np.ndarray] = []
+    cols: list[np.ndarray] = []
+    vals: list[np.ndarray] = []
 
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
+    def emit(src: np.ndarray, flip: int, value) -> None:
+        target = codes[src] ^ flip
+        j = np.searchsorted(codes, target)
+        found = codes[np.minimum(j, len(codes) - 1)] == target
+        if not found.all():
+            raise TikmError(f"term leaves the symmetry sector (state code {int(target[~found][0])})")
+        rows.append(j.astype(np.int32))
+        cols.append(src.astype(np.int32))
+        vals.append(np.broadcast_to(value, src.shape))
 
-    def emit(i: int, target_code: int, value: float) -> None:
-        j = index.get(target_code)
-        if j is None:
-            raise TikmError(f"term leaves the symmetry sector (state code {target_code})")
-        rows.append(j)
-        cols.append(i)
-        vals.append(value)
+    a_up = _bit(codes, n_orb + 1)
+    b_up = _bit(codes, n_orb)
+    diag = np.zeros(basis.dim)
 
-    for i, code in enumerate(codes):
-        code = int(code)
-        occ = code & occ_mask
-        imp = code >> n_orb
-        a_up = (imp >> 1) & 1
-        b_up = imp & 1
-        diag = 0.0
+    if t != 0.0:
+        for s in range(L - 1):
+            for spin in (0, 1):
+                p, q = 2 * s + spin, 2 * (s + 1) + spin
+                between = ((1 << q) - 1) & ~((1 << (p + 1)) - 1)
+                src = np.flatnonzero(_bit(codes, p) != _bit(codes, q))
+                odd = np.bitwise_count(codes[src] & between) & 1
+                emit(src, (1 << p) | (1 << q), np.where(odd == 1, t, -t))
 
-        if t != 0.0:
-            for s in range(L - 1):
-                for spin in (0, 1):
-                    p = 2 * s + spin
-                    q = 2 * (s + 1) + spin
-                    for p_to, p_from in ((p, q), (q, p)):
-                        res = _hop(occ, p_to, p_from)
-                        if res is not None:
-                            occ2, sign = res
-                            emit(i, (imp << n_orb) | occ2, -t * sign)
+    if jk != 0.0:
+        for x, up, imp_flip in ((model.xa, a_up, 2), (model.xb, b_up, 1)):
+            n_u = _bit(codes, 2 * x)
+            n_d = _bit(codes, 2 * x + 1)
+            s_imp = np.where(up, 0.5, -0.5)
+            diag += jk * s_imp * 0.5 * (n_u - n_d)
+            # S- s+ lowers an up impurity and raises a down electron, S+ s- the
+            # reverse; both orbitals sit on one site, so no sign arises
+            src = np.flatnonzero((n_u != n_d) & (up == n_d))
+            emit(src, (imp_flip << n_orb) | (3 << (2 * x)), 0.5 * jk)
 
-        if jk != 0.0:
-            for x, up_bit, imp_flip in ((model.xa, a_up, 2), (model.xb, b_up, 1)):
-                orb_u, orb_d = 2 * x, 2 * x + 1
-                n_u = (occ >> orb_u) & 1
-                n_d = (occ >> orb_d) & 1
-                s_imp = 0.5 if up_bit else -0.5
-                diag += jk * s_imp * 0.5 * (n_u - n_d)
-                if up_bit:
-                    # S- s+ : impurity down, electron down -> up
-                    res = _hop(occ, orb_u, orb_d)
-                    if res is not None:
-                        occ2, sign = res
-                        emit(i, ((imp ^ imp_flip) << n_orb) | occ2, 0.5 * jk * sign)
-                else:
-                    # S+ s- : impurity up, electron up -> down
-                    res = _hop(occ, orb_d, orb_u)
-                    if res is not None:
-                        occ2, sign = res
-                        emit(i, ((imp ^ imp_flip) << n_orb) | occ2, 0.5 * jk * sign)
+    if idir != 0.0:
+        diag += idir * np.where(a_up, 0.5, -0.5) * np.where(b_up, 0.5, -0.5)
+        # (S+_A S-_B + S-_A S+_B)/2 swaps the two impurity spins
+        emit(np.flatnonzero(a_up != b_up), 3 << n_orb, 0.5 * idir)
 
-        if idir != 0.0:
-            diag += idir * (0.5 if a_up else -0.5) * (0.5 if b_up else -0.5)
-            if a_up != b_up:
-                # (S+_A S-_B + S-_A S+_B)/2 swaps the two impurity spins
-                emit(i, ((imp ^ 3) << n_orb) | occ, 0.5 * idir)
+    src = np.flatnonzero(diag != 0.0)
+    rows.append(src.astype(np.int32))
+    cols.append(src.astype(np.int32))
+    vals.append(diag[src])
 
-        if diag != 0.0:
-            rows.append(i)
-            cols.append(i)
-            vals.append(diag)
-
-    h = sparse.coo_matrix(
-        (np.array(vals, dtype=np.float64), (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),
+    return sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(basis.dim, basis.dim),
     ).tocsr()
-    h.sum_duplicates()
-    return h
 
 
 @dataclass
@@ -314,9 +300,9 @@ def _dense_ground(h: sparse.csr_matrix) -> GroundStateResult:
         raise ValueError(
             f"dense solve refused for dimension {h.shape[0]} (> {DENSE_MAX}); use the Lanczos path"
         )
-    spec = qmat.hermitian_eig(h.toarray().astype(complex))
+    spec = qmat.hermitian_eig(h.toarray())
     energy = float(spec.values[0])
-    psi = np.ascontiguousarray(spec.vectors[:, 0].real)
+    psi = np.ascontiguousarray(spec.vectors[:, 0])
     psi /= np.linalg.norm(psi)
     gap = float(spec.values[1] - spec.values[0]) if len(spec.values) > 1 else float("inf")
     residual = float(np.linalg.norm(h @ psi - energy * psi))
@@ -604,8 +590,13 @@ def find_crossing(
     Monotonicity of f_s is checked on a coarse pre-grid (NonMonotoneError
     lists the offending points) and the endpoints must straddle the target
     (NoBracketError otherwise).  Bisection narrows the parameter bracket
-    below ``tol``; the bracket always contains the crossing, so the returned
-    midpoint is within ``tol`` of it.  Endpoint order does not matter.
+    below ``tol`` (which must be positive, and reachable within
+    MAX_BISECTIONS halvings); the bracket always contains the crossing, so
+    the returned midpoint is within ``tol`` of it.  A crossing must be
+    continuous: if f_s changes across the final bracket by more than
+    JUMP_FACTOR (100) times the pre-grid's secant slope times the bracket
+    width, f_s jumps over the target there and NonMonotoneError is raised.
+    Endpoint order does not matter.
     """
     lo, hi = float(lo), float(hi)
     if lo > hi:
@@ -614,6 +605,10 @@ def find_crossing(
         raise NoBracketError(f"empty interval [{lo}, {hi}]")
     if pre_points < 2:
         raise ValueError(f"pre_points must be >= 2, got {pre_points}")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be > 0, got {tol!r}")
+    if (hi - lo) / tol > 2.0**MAX_BISECTIONS:
+        raise ValueError(f"tol {tol!r} needs more than {MAX_BISECTIONS} bisections of [{lo}, {hi}]")
     xs = np.linspace(lo, hi, pre_points)
     fs = [point_correlation(model, param, x, **gs_opts) for x in xs]
     direction = np.sign(fs[-1] - fs[0])
@@ -632,8 +627,10 @@ def find_crossing(
         raise NoBracketError(
             f"f_s does not cross {target_fs} on [{lo}, {hi}] (endpoints {fs[0]:.6f}, {fs[-1]:.6f})"
         )
-    a, b, f_a = lo, hi, f_lo
-    while b - a >= tol:
+    a, b, f_a, f_b = lo, hi, f_lo, f_hi
+    for _ in range(MAX_BISECTIONS):
+        if b - a < tol:
+            break
         mid = 0.5 * (a + b)
         f_mid = point_correlation(model, param, mid, **gs_opts) - target_fs
         if abs(f_mid) < 1e-12:
@@ -641,7 +638,16 @@ def find_crossing(
         if (f_mid > 0.0) == (f_a > 0.0):
             a, f_a = mid, f_mid
         else:
-            b = mid
+            b, f_b = mid, f_mid
+    if b - a >= tol:
+        raise ValueError(f"bracket [{a}, {b}] is still wider than tol {tol!r} after {MAX_BISECTIONS} bisections")
+    slope = abs(fs[-1] - fs[0]) / (hi - lo)
+    if abs(f_b - f_a) > JUMP_FACTOR * slope * (b - a):
+        raise NonMonotoneError(
+            f"f_s jumps over {target_fs} in {param} between {a} and {b} "
+            f"(from {f_a + target_fs:.6f} to {f_b + target_fs:.6f})",
+            points=[(a, f_a + target_fs, b, f_b + target_fs)],
+        )
     return 0.5 * (a + b)
 
 

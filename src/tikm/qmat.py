@@ -57,7 +57,9 @@ def hermiticity_defect(m: np.ndarray) -> float:
 
 
 def require_hermitian(m: np.ndarray, atol: float = HERMITICITY_ATOL, name: str = "matrix") -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
+    """The input as a square float (if real) or complex array, checked Hermitian within ``atol``."""
+    m = np.asarray(m)
+    m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"{name} must be square, got shape {m.shape}")
     defect = hermiticity_defect(m)
@@ -70,7 +72,8 @@ def hermitian_eig(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns eigenvalues in ascending order and orthonormal eigenvector
-    columns satisfying m = V diag(w) V+ to working precision.
+    columns satisfying m = V diag(w) V+ to working precision.  A real
+    symmetric input is solved in real arithmetic and gives real vectors.
     """
     m = require_hermitian(m, atol=atol)
     w, v = np.linalg.eigh(m)
@@ -83,7 +86,7 @@ def check_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
     Raises NotHermitianError, ValueError (trace) or NegativeEigenvalueError.
     Returns the input as a complex array.
     """
-    rho = require_hermitian(rho, name=name)
+    rho = require_hermitian(np.asarray(rho, dtype=complex), name=name)
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > TRACE_ATOL:
         raise ValueError(f"{name} has trace {tr}, expected 1 within {TRACE_ATOL:.1e}")

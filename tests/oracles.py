@@ -4,6 +4,8 @@ Nothing here shares code paths with the package: the chain ground states are
 built from explicit Jordan-Wigner operator products on the full Fock space
 with a particle-number penalty, reduced states come from a reshape-based
 partial trace, and the special functions come from adaptive quadrature.
+Sector bases and Hamiltonians are also built one state at a time with
+Python integers, as the reference for the package's vectorized builders.
 """
 
 from __future__ import annotations
@@ -110,6 +112,111 @@ def enumerate_sector(sites, nelec, sz2):
             if e_sz2 + 2 * imp.bit_count() - 2 == sz2:
                 count += 1
     return count
+
+
+def loop_basis_codes(sites, nelec, sz2):
+    """Sorted sector codes, one state at a time from itertools combinations (empty if none)."""
+    n_orb = 2 * sites
+    codes = []
+    for imp in range(4):
+        e_sz2 = sz2 - (2 * imp.bit_count() - 2)
+        if (nelec + e_sz2) % 2:
+            continue
+        nu = (nelec + e_sz2) // 2
+        nd = nelec - nu
+        if not (0 <= nu <= sites and 0 <= nd <= sites):
+            continue
+        for up_sites in combinations(range(sites), nu):
+            up_occ = sum(1 << (2 * s) for s in up_sites)
+            for dn_sites in combinations(range(sites), nd):
+                codes.append((imp << n_orb) | up_occ | sum(1 << (2 * s + 1) for s in dn_sites))
+    return sorted(codes)
+
+
+def _sign_below(occ, p):
+    return -1.0 if (occ & ((1 << p) - 1)).bit_count() & 1 else 1.0
+
+
+def _hop(occ, p_to, p_from):
+    """Apply c+_{p_to} c_{p_from}; None if blocked by occupation."""
+    if not (occ >> p_from) & 1:
+        return None
+    sign = _sign_below(occ, p_from)
+    occ1 = occ ^ (1 << p_from)
+    if (occ1 >> p_to) & 1:
+        return None
+    return occ1 | (1 << p_to), sign * _sign_below(occ1, p_to)
+
+
+def loop_hamiltonian(model, codes):
+    """Sector Hamiltonian built state by state, as a CSR matrix.
+
+    Each basis state is decoded and every term is applied to it with Python
+    integers; targets are found through a dict, so a term that leaves the
+    sector raises KeyError.  Entries are emitted as (row = target, column =
+    source) and the diagonal is accumulated in the order Kondo A, Kondo B,
+    direct exchange.
+    """
+    sites = model.sites
+    n_orb = 2 * sites
+    occ_mask = (1 << n_orb) - 1
+    t, jk, idir = model.hopping, model.jk, model.idirect
+    index = {int(c): i for i, c in enumerate(codes)}
+    rows, cols, vals = [], [], []
+
+    def emit(i, target_code, value):
+        rows.append(index[target_code])
+        cols.append(i)
+        vals.append(value)
+
+    for i, code in enumerate(codes):
+        code = int(code)
+        occ = code & occ_mask
+        imp = code >> n_orb
+        a_up = (imp >> 1) & 1
+        b_up = imp & 1
+        diag = 0.0
+
+        if t != 0.0:
+            for s in range(sites - 1):
+                for spin in (0, 1):
+                    p = 2 * s + spin
+                    q = 2 * (s + 1) + spin
+                    for p_to, p_from in ((p, q), (q, p)):
+                        res = _hop(occ, p_to, p_from)
+                        if res is not None:
+                            occ2, sign = res
+                            emit(i, (imp << n_orb) | occ2, -t * sign)
+
+        if jk != 0.0:
+            for x, up_bit, imp_flip in ((model.xa, a_up, 2), (model.xb, b_up, 1)):
+                orb_u, orb_d = 2 * x, 2 * x + 1
+                n_u = (occ >> orb_u) & 1
+                n_d = (occ >> orb_d) & 1
+                s_imp = 0.5 if up_bit else -0.5
+                diag += jk * s_imp * 0.5 * (n_u - n_d)
+                # S- s+ moves a down electron up; S+ s- moves an up electron down
+                res = _hop(occ, orb_u, orb_d) if up_bit else _hop(occ, orb_d, orb_u)
+                if res is not None:
+                    occ2, sign = res
+                    emit(i, ((imp ^ imp_flip) << n_orb) | occ2, 0.5 * jk * sign)
+
+        if idir != 0.0:
+            diag += idir * (0.5 if a_up else -0.5) * (0.5 if b_up else -0.5)
+            if a_up != b_up:
+                emit(i, ((imp ^ 3) << n_orb) | occ, 0.5 * idir)
+
+        if diag != 0.0:
+            rows.append(i)
+            cols.append(i)
+            vals.append(diag)
+
+    h = sp.coo_matrix(
+        (np.array(vals, dtype=np.float64), (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),
+        shape=(len(codes), len(codes)),
+    ).tocsr()
+    h.sum_duplicates()
+    return h
 
 
 def sdots_expectation(codes, psi, n_orb):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -203,6 +204,14 @@ def test_simulate_config_file_unknown_key(capsys, tmp_path):
     assert code == 2 and "volume" in err
 
 
+@pytest.mark.parametrize("coupling", ["--jk=nan", "--hopping=inf", "--idirect=-inf"])
+def test_simulate_rejects_non_finite_coupling(capsys, coupling):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "simulate", "--sites", "4", coupling, "--format", "json")
+    assert code == 2 and "finite" in err and out == ""
+
+
 def test_simulate_requires_sites(capsys):
     code, _, err = run(capsys, "simulate", "--jk", "0.5")
     assert code == 2 and "sites" in err
@@ -234,6 +243,14 @@ def test_critical_json_matches_library(capsys):
 def test_critical_no_bracket_exit(capsys):
     code, _, err = run(capsys, "critical", "--param", "jk", "--min", "0.2", "--max", "0.5", "--sites", "2")
     assert code == 6 and err
+
+
+def test_critical_jump_exit(capsys):
+    # at jk = 1 f_s jumps from about +0.23 to -0.69 as idirect passes -0.0155,
+    # straight over the target; bisection closes in on the jump
+    code, out, err = run(capsys, "critical", "--sites", "4", "--param", "idirect", "--jk", "1",
+                         "--min", "-1.5", "--max", "0", "--format", "json")
+    assert code == 7 and "jumps" in err and out == ""
 
 
 def test_critical_non_monotone_exit(capsys, monkeypatch):

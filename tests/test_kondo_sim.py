@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,11 +12,14 @@ from tikm.errors import (
     NoBracketError,
     NonMonotoneError,
     NotConvergedError,
+    TikmError,
 )
 
 from oracles import (
     enumerate_sector,
     full_space_ground,
+    loop_basis_codes,
+    loop_hamiltonian,
     reflection_map,
     sdots_expectation,
     tight_binding_energy,
@@ -49,6 +55,13 @@ def test_model_validation():
         ks.ChainModel(sites=4, jk=-0.2)
     with pytest.raises(ValueError):
         ks.ChainModel(sites=2, nup=3, ndn=0)
+
+
+@pytest.mark.parametrize("field", ["hopping", "jk", "idirect"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_model_rejects_non_finite_couplings(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        ks.ChainModel(sites=4, **{field: value})
 
 
 # ---------------------------------------------------------------- basis
@@ -87,6 +100,24 @@ def test_basis_empty_sector():
         ks.build_basis(ks.ChainModel(sites=2, nup=1, ndn=1), 4)  # unreachable S^z
 
 
+@pytest.mark.parametrize("sites", range(1, 7))
+def test_basis_matches_itertools_reference(sites):
+    # every electron number and every 2*S^z, including parity mismatches and
+    # unreachable values, which must raise instead of returning an empty basis
+    for nelec in range(2 * sites + 1):
+        m = ks.ChainModel(sites=sites, nup=min(nelec, sites), ndn=nelec - min(nelec, sites))
+        for sz2 in range(-nelec - 3, nelec + 4):
+            ref = loop_basis_codes(sites, nelec, sz2)
+            if not ref:
+                with pytest.raises(EmptySectorError):
+                    ks.build_basis(m, sz2 / 2)
+                continue
+            basis = ks.build_basis(m, sz2 / 2)
+            assert basis.codes.dtype == np.int64
+            assert basis.codes.tolist() == ref
+            assert (basis.sites, basis.nelec, basis.sz2) == (sites, nelec, sz2)
+
+
 def test_basis_sz_validation():
     with pytest.raises(ValueError):
         ks.build_basis(ks.ChainModel(sites=2), 0.3)
@@ -112,6 +143,71 @@ def test_hamiltonian_exactly_symmetric(model, sz):
     basis = ks.build_basis(model, sz)
     h = ks.build_hamiltonian(model, basis)
     assert _hermiticity_defect(h) == 0.0
+
+
+#: (hopping, jk, idirect) sets, with every coupling zero in some set.
+_EQUIVALENCE_COUPLINGS = (
+    (1.0, 0.7, 0.3),
+    (1.0, 0.0, -0.4),
+    (0.0, 1.3, 0.0),
+    (1.0, 0.9, 0.0),
+    (0.0, 0.0, 0.8),
+    (0.6, 2.1, -1.7),
+)
+
+
+def _equivalence_cases(sites):
+    """(model, sz_total) pairs for the builder equivalence test.
+
+    Up to 6 sites: every placement, at half and off-half filling, in the
+    natural S^z sector and the one above it.  At 7 sites every placement
+    takes one of those four.  At 8 sites the centered, end-to-end and
+    shared-site placements.  The coupling set cycles through
+    _EQUIVALENCE_COUPLINGS.
+    """
+    half = sites // 2
+    variants = [(nup, ndn, raised) for nup, ndn in ((half, half), (min(half + 1, sites), half)) for raised in (0, 1)]
+    if sites <= 7:
+        placements = [(xa, xb) for xa in range(sites) for xb in range(xa, sites)]
+    else:
+        placements = [(half - 1, half), (0, sites - 1), (half, half)]
+    cases = []
+    for k, (xa, xb) in enumerate(placements):
+        chosen = variants if sites <= 6 else [variants[k % len(variants)]]
+        for nup, ndn, raised in chosen:
+            t, jk, idirect = _EQUIVALENCE_COUPLINGS[len(cases) % len(_EQUIVALENCE_COUPLINGS)]
+            m = ks.ChainModel(sites=sites, hopping=t, jk=jk, idirect=idirect, xa=xa, xb=xb, nup=nup, ndn=ndn)
+            cases.append((m, m.default_sz2() / 2 + raised))
+    return cases
+
+
+@pytest.mark.parametrize("sites", range(1, 9))
+def test_hamiltonian_equals_loop_reference(sites):
+    # the vectorized builder must reproduce the state-by-state loop bit for bit,
+    # so that every solver output downstream is unchanged
+    built = 0
+    for m, sz in _equivalence_cases(sites):
+        try:
+            basis = ks.build_basis(m, sz)
+        except EmptySectorError:
+            continue
+        h = ks.build_hamiltonian(m, basis)
+        ref = loop_hamiltonian(m, basis.codes)
+        assert h.shape == ref.shape
+        for part in ("indptr", "indices", "data"):
+            got, want = getattr(h, part), getattr(ref, part)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (m, sz, part)
+        built += 1
+    assert built >= 3
+
+
+def test_hamiltonian_term_leaving_sector_raises():
+    m = ks.ChainModel(sites=4, jk=0.5, idirect=0.3)
+    basis = ks.build_basis(m)
+    for k in (0, basis.dim // 2, basis.dim - 1):
+        holed = replace(basis, codes=np.delete(basis.codes, k))
+        with pytest.raises(TikmError, match="leaves the symmetry sector"):
+            ks.build_hamiltonian(m, holed)
 
 
 def test_free_fermion_ground_energy():
@@ -413,6 +509,37 @@ def test_find_crossing_no_bracket():
         ks.find_crossing(m, "jk", 0.2, 0.5)  # f_s stays below -1/4 here
     with pytest.raises(ValueError):
         ks.find_crossing(m, "jk", 1.0, 2.0, pre_points=1)
+
+
+def test_find_crossing_rejects_bad_tol(monkeypatch):
+    m = ks.ChainModel(sites=2)
+    for tol in (0.0, -1e-4, math.nan, 1e-30):  # 1e-30 needs more than MAX_BISECTIONS halvings
+        with pytest.raises(ValueError, match="tol"):
+            ks.find_crossing(m, "jk", 1.0, 2.0, tol=tol)
+    # a tol below the float spacing cannot be reached: the step cap ends the loop
+    monkeypatch.setattr(ks, "point_correlation", lambda model, param, value, **kw: -0.5 if value < 1.3 else 0.0)
+    with pytest.raises(ValueError, match="tol"):
+        ks.find_crossing(m, "jk", 1.0, 2.0, tol=1e-17)
+
+
+def test_find_crossing_rejects_jump(monkeypatch):
+    # f_s steps over the target at 1.3; the pre-grid sees a monotone rise
+    monkeypatch.setattr(ks, "point_correlation", lambda model, param, value, **kw: -0.5 if value < 1.3 else 0.0)
+    with pytest.raises(NonMonotoneError, match="jumps") as info:
+        ks.find_crossing(ks.ChainModel(sites=2), "jk", 1.0, 2.0, tol=1e-4)
+    ((a, f_a, b, f_b),) = info.value.points
+    assert a < 1.3 <= b and b - a < 1e-4
+    assert (f_a, f_b) == (-0.5, 0.0)
+
+
+def test_find_crossing_accepts_steep_continuous_crossing(monkeypatch):
+    # slope at the crossing is five times the secant slope over the bracket
+    def steep(model, param, value, **kw):
+        return -0.25 + 0.5 * math.tanh(10.0 * (value - 1.37))
+
+    monkeypatch.setattr(ks, "point_correlation", steep)
+    root = ks.find_crossing(ks.ChainModel(sites=2), "jk", 1.0, 2.0, tol=1e-6)
+    assert abs(root - 1.37) <= 1e-6
 
 
 def test_find_crossing_non_monotone(monkeypatch):

@@ -54,6 +54,24 @@ def test_hermitian_eig_reconstruction_property():
         assert np.all(np.diff(spec.values) >= 0.0)
 
 
+def test_hermitian_eig_keeps_real_input_real():
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((6, 6))
+    m = g + g.T
+    real, cplx = qmat.hermitian_eig(m), qmat.hermitian_eig(m.astype(complex))
+    assert real.vectors.dtype == np.float64 and cplx.vectors.dtype == np.complex128
+    assert np.abs(real.values - cplx.values).max() <= 1e-12
+    rebuilt = (real.vectors * real.values) @ real.vectors.T
+    assert np.abs(rebuilt - m).max() <= 1e-12
+    # the Hermiticity check and its tolerance do not depend on the dtype
+    m[0, 1] += 1e-11
+    for bad in (m, m.astype(complex)):
+        with pytest.raises(NotHermitianError):
+            qmat.hermitian_eig(bad)
+    # a density matrix is still handed back complex
+    assert qmat.check_density_matrix(np.eye(4) / 4).dtype == np.complex128
+
+
 def test_partial_trace_singlet_marginal():
     rho = qmat.projector(qmat.PSI_MINUS)
     assert np.abs(qmat.partial_trace(rho, "A") - np.eye(2) / 2).max() <= 1e-14
