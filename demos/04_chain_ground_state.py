@@ -22,7 +22,7 @@ print(f"chain of {model.sites} sites, impurities on ({model.xa}, {model.xb}), "
 g = kondo_sim.ground_state(h)
 print(f"{g.method} ground state: E0 = {g.energy:.10f} "
       f"({g.iterations} iterations, residual {g.residual_norm:.1e})")
-print("spin singlet?", kondo_sim.singlet_check(model))
+print("spin singlet?", kondo_sim.singlet_check(model, g.energy))
 
 rho = kondo_sim.impurity_rdm(g, basis)
 print("\nimpurity pair density matrix (real part):")

@@ -16,13 +16,14 @@ The ``tikm`` command line (see :mod:`tikm.cli`) exposes all of it.
 
 from . import errors, kondo_sim, measures, qmat, rkky, werner
 from .errors import TikmError
-from .kondo_sim import ChainModel, GroundStateResult, SectorBasis, SweepPoint
+from .kondo_sim import Analysis, ChainModel, GroundStateResult, SectorBasis, SweepPoint
 from .rkky import CouplingResult, RkkyParams
 from .werner import EntanglementReport, WernerState
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "Analysis",
     "ChainModel",
     "CouplingResult",
     "EntanglementReport",

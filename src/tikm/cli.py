@@ -13,14 +13,12 @@ Formats: ``pretty`` (6 significant digits, human), ``csv`` and ``json``
 2 usage or domain error, 3 I/O error, 4 eigensolver not converged,
 5 degenerate ground state, 6 no bisection bracket, 7 non-monotone scan or
 a jump of f_s over the target.
-The ``KE_THREADS`` environment variable caps sweep parallelism.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Sequence
 
@@ -229,15 +227,10 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     model = _model_from_args(args)
-    basis = kondo_sim.build_basis(model)
-    h = kondo_sim.build_hamiltonian(model, basis)
     method = "dense" if args.dense else "auto"
-    g = kondo_sim.ground_state(h, method=method)
-    del h  # freed before the next sector's H is built, which lowers the peak memory
-    e_high = kondo_sim.sector_ground_energy(model, (model.default_sz2() + 2) / 2.0, method=method)
-    singlet = g.energy < e_high - kondo_sim.SINGLET_MARGIN
-    rho = kondo_sim.impurity_rdm(g, basis)
-    f_s = measures.spin_correlation(rho)
+    a = model.analyze(method)
+    g = a.ground
+    singlet = kondo_sim.singlet_check(model, g.energy, method)
     pairs: list[tuple[str, object]] = [
         ("sites", model.sites),
         ("hopping", model.hopping),
@@ -247,22 +240,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         ("xb", model.xb),
         ("nup", model.nup),
         ("ndn", model.ndn),
-        ("sector_dim", basis.dim),
+        ("sector_dim", a.dim),
         ("method", g.method),
         ("iterations", g.iterations),
         ("residual_norm", g.residual_norm),
         ("energy", g.energy),
         ("singlet", singlet),
         ("degenerate", not singlet),
-        ("werner_residual", measures.werner_residual(rho)),
+        ("werner_residual", measures.werner_residual(a.rho)),
     ]
-    pairs += _report_pairs(f_s, werner.from_correlation(f_s))
+    pairs += _report_pairs(a.f_s, werner.from_correlation(a.f_s))
     _emit_record(pairs, args.format, args.out)
     if args.out is not None:
         sys.stdout.write(
             f"sites={model.sites} jk={_fmt(model.jk, _PRETTY_DIGITS)} "
-            f"idirect={_fmt(model.idirect, _PRETTY_DIGITS)} dim={basis.dim}: "
-            f"E0={_fmt(g.energy, _PRETTY_DIGITS)} fs={_fmt(f_s, _PRETTY_DIGITS)} "
+            f"idirect={_fmt(model.idirect, _PRETTY_DIGITS)} dim={a.dim}: "
+            f"E0={_fmt(g.energy, _PRETTY_DIGITS)} fs={_fmt(a.f_s, _PRETTY_DIGITS)} "
             f"singlet={_fmt(singlet)}\n"
         )
     return EXIT_OK
@@ -286,12 +279,7 @@ def cmd_critical(args: argparse.Namespace) -> int:
         ("target_fs", args.target_fs),
         ("tol", args.tol),
     ]
-    if args.format == "json":
-        _write_out(_json_line(dict(pairs)) + "\n", args.out)
-    elif args.format == "csv":
-        _write_out(_csv_text([k for k, _ in pairs], [[v for _, v in pairs]]), args.out)
-    else:
-        _write_out(_pretty_table(pairs), args.out)
+    _emit_record(pairs, args.format, args.out)
     return EXIT_OK
 
 
@@ -353,9 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    if "KE_THREADS" in os.environ and not os.environ["KE_THREADS"].isdigit():
-        sys.stderr.write("tikm: KE_THREADS must be a positive integer\n")
-        return EXIT_USAGE
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

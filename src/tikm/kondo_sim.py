@@ -57,6 +57,16 @@ DENSE_CUTOFF = 512
 #: Hard cap for an explicitly requested dense solve (memory guard).
 DENSE_MAX = 6000
 
+#: Lanczos settings: the start vector's seed (fixed, so reruns are bit
+#: identical); a pass ends once its lowest Ritz value moves by less than
+#: RITZ_TOL or after MAX_KRYLOV steps; restarts end once ||H psi - E psi|| <=
+#: RESIDUAL_RTOL * max(1, |E|), and after MAX_RESTARTS passes the solve fails.
+LANCZOS_SEED = 7
+RITZ_TOL = 1e-12
+RESIDUAL_RTOL = 1e-12
+MAX_KRYLOV = 400
+MAX_RESTARTS = 40
+
 #: Two Ritz/eigen values closer than this are treated as a degenerate ground state.
 DEGENERACY_ATOL = 1e-9
 
@@ -66,6 +76,10 @@ SINGLET_MARGIN = 1e-9
 #: Most bisection steps ``find_crossing`` takes; a ``tol`` below 2**-64 of the
 #: bracket is refused.
 MAX_BISECTIONS = 64
+
+#: ``find_crossing``'s pre-grid holds the bracket ends and the midpoints of its
+#: first PRE_GRID_LEVELS bisection levels, 2**PRE_GRID_LEVELS + 1 points.
+PRE_GRID_LEVELS = 3
 
 #: A final bisection bracket across which f_s changes by more than this many
 #: times the pre-grid's secant slope times the bracket width spans a jump.
@@ -130,6 +144,19 @@ class ChainModel:
         """Twice the total S^z of the natural sector: electron polarization, impurities balanced."""
         return self.nup - self.ndn
 
+    def analyze(self, method: str = "auto") -> Analysis:
+        """Solve the natural sector and reduce its ground state to the impurity pair.
+
+        This is the one path from a model to f_s: basis, Hamiltonian, ground
+        state (``method`` as in ``ground_state``), impurity RDM and
+        <S_A . S_B>.  The basis and the Hamiltonian are freed on return, before
+        a caller solves a second sector.
+        """
+        basis = build_basis(self)
+        g = ground_state(build_hamiltonian(self, basis), method)
+        rho = impurity_rdm(g, basis)
+        return Analysis(dim=basis.dim, ground=g, rho=rho, f_s=measures.spin_correlation(rho))
+
 
 @dataclass(frozen=True)
 class SectorBasis:
@@ -147,18 +174,6 @@ class SectorBasis:
     @property
     def n_orbitals(self) -> int:
         return 2 * self.sites
-
-    def index_of(self, code: int) -> int:
-        i = int(np.searchsorted(self.codes, code))
-        if i >= len(self.codes) or self.codes[i] != code:
-            raise KeyError(f"code {code} not in sector")
-        return i
-
-    def decode(self, code: int) -> tuple[int, int, int]:
-        """(impurity A up?, impurity B up?, fermion occupation bits)."""
-        occ = int(code) & ((1 << self.n_orbitals) - 1)
-        imp = int(code) >> self.n_orbitals
-        return (imp >> 1) & 1, imp & 1, occ
 
 
 def _sz2_of(sz_total: float) -> int:
@@ -287,12 +302,21 @@ class GroundStateResult:
 
     energy: float
     amplitudes: np.ndarray
-    converged: bool
     iterations: int
     residual_norm: float
     degenerate: bool
     gap: float
     method: str
+
+
+@dataclass
+class Analysis:
+    """A model's natural-sector ground state reduced to the impurity pair."""
+
+    dim: int
+    ground: GroundStateResult
+    rho: np.ndarray
+    f_s: float
 
 
 def _dense_ground(h: sparse.csr_matrix) -> GroundStateResult:
@@ -309,7 +333,6 @@ def _dense_ground(h: sparse.csr_matrix) -> GroundStateResult:
     return GroundStateResult(
         energy=energy,
         amplitudes=psi,
-        converged=True,
         iterations=0,
         residual_norm=residual,
         degenerate=gap < DEGENERACY_ATOL,
@@ -318,13 +341,13 @@ def _dense_ground(h: sparse.csr_matrix) -> GroundStateResult:
     )
 
 
-def _lanczos_block(h, v0, max_steps, ritz_tol):
-    """One fully reorthogonalized Lanczos pass from v0.
+def _lanczos_block(h, v0):
+    """One fully reorthogonalized Lanczos pass of at most MAX_KRYLOV steps from v0.
 
     Returns (theta0, theta1, ritz_vector, steps, exhausted).
     """
     dim = v0.shape[0]
-    m = min(max_steps, dim)
+    m = min(MAX_KRYLOV, dim)
     V = np.empty((m, dim))
     alphas = np.empty(m)
     betas = np.empty(m)
@@ -352,7 +375,7 @@ def _lanczos_block(h, v0, max_steps, ritz_tol):
             betas[k] = beta
         if k >= 4 and k % 5 == 0:
             theta = eigh_tridiagonal(alphas[: k + 1], betas[:k], eigvals_only=True, select="i", select_range=(0, 0))[0]
-            if abs(theta - theta_prev) < ritz_tol:
+            if abs(theta - theta_prev) < RITZ_TOL:
                 break
             theta_prev = theta
     n = k_used
@@ -370,20 +393,20 @@ def _lanczos_block(h, v0, max_steps, ritz_tol):
     return theta0, theta1, ritz, n, exhausted
 
 
-def _lanczos_ground(h, seed, ritz_tol, residual_rtol, max_krylov, max_restarts):
+def _lanczos_ground(h):
     dim = h.shape[0]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(LANCZOS_SEED)
     v = rng.standard_normal(dim)
     v /= np.linalg.norm(v)
     iterations = 0
     theta0 = theta1 = np.inf
     residual = np.inf
-    for _ in range(max_restarts):
-        theta0, theta1, v, steps, exhausted = _lanczos_block(h, v, max_krylov, ritz_tol)
+    for _ in range(MAX_RESTARTS):
+        theta0, theta1, v, steps, exhausted = _lanczos_block(h, v)
         iterations += steps
         residual = float(np.linalg.norm(h @ v - theta0 * v))
         scale = max(1.0, abs(theta0))
-        if residual <= residual_rtol * scale or exhausted:
+        if residual <= RESIDUAL_RTOL * scale or exhausted:
             break
     scale = max(1.0, abs(theta0))
     if residual > 1e-8 * scale:
@@ -396,7 +419,6 @@ def _lanczos_ground(h, seed, ritz_tol, residual_rtol, max_krylov, max_restarts):
     return GroundStateResult(
         energy=theta0,
         amplitudes=v,
-        converged=True,
         iterations=iterations,
         residual_norm=residual,
         degenerate=gap < DEGENERACY_ATOL,
@@ -405,52 +427,37 @@ def _lanczos_ground(h, seed, ritz_tol, residual_rtol, max_krylov, max_restarts):
     )
 
 
-def ground_state(
-    h: sparse.csr_matrix,
-    method: str = "auto",
-    seed: int = 7,
-    ritz_tol: float = 1e-12,
-    residual_rtol: float = 1e-12,
-    max_krylov: int = 400,
-    max_restarts: int = 40,
-    dense_cutoff: int = DENSE_CUTOFF,
-) -> GroundStateResult:
+def ground_state(h: sparse.csr_matrix, method: str = "auto") -> GroundStateResult:
     """Lowest eigenpair of a sector Hamiltonian.
 
-    ``method`` is "auto" (dense at or below ``dense_cutoff``, else Lanczos),
+    ``method`` is "auto" (dense at or below DENSE_CUTOFF, else Lanczos),
     "dense", or "lanczos".  The Lanczos path restarts fully reorthogonalized
     blocks from a fixed-seed start vector until the explicit residual
-    ||H psi - E psi|| drops to ``residual_rtol * max(1, |E|)``, and raises
-    NotConvergedError if it cannot reach 1e-8 * max(1, |E|).  A gap below
-    1e-9 between the two lowest (Ritz) values marks the result degenerate.
+    ||H psi - E psi|| drops to ``RESIDUAL_RTOL * max(1, |E|)``, and raises
+    NotConvergedError if it cannot reach 1e-8 * max(1, |E|) within
+    MAX_RESTARTS passes.  A gap below 1e-9 between the two lowest (Ritz)
+    values marks the result degenerate.
     """
     dim = h.shape[0]
     if dim == 0:
         raise EmptySectorError("empty Hamiltonian")
     if method not in ("auto", "dense", "lanczos"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "dense" or (method == "auto" and dim <= dense_cutoff):
+    if method == "dense" or (method == "auto" and dim <= DENSE_CUTOFF):
         return _dense_ground(h)
-    return _lanczos_ground(h, seed, ritz_tol, residual_rtol, max_krylov, max_restarts)
+    return _lanczos_ground(h)
 
 
-def sector_ground_energy(model: ChainModel, sz_total: float, **gs_opts) -> float:
-    basis = build_basis(model, sz_total)
-    return ground_state(build_hamiltonian(model, basis), **gs_opts).energy
+def singlet_check(model: ChainModel, energy: float, method: str = "auto") -> bool:
+    """True iff the natural-sector ground energy ``energy`` has no partner in the next S^z sector.
 
-
-def singlet_check(model: ChainModel, **gs_opts) -> bool:
-    """True iff the ground state has no partner in the next S^z sector.
-
-    Compares the ground energies of the natural sector and the sector with
-    S^z raised by one; a multiplet with S >= 1 (or >= 3/2 for odd electron
-    count) appears degenerately in both, a singlet (or Kramers doublet) does
-    not.
+    Solves only the sector with S^z raised by one and compares its ground
+    energy with ``energy``; a multiplet with S >= 1 (or >= 3/2 for odd
+    electron count) appears degenerately in both, a singlet (or Kramers
+    doublet) does not.
     """
-    sz2 = model.default_sz2()
-    e_low = sector_ground_energy(model, sz2 / 2.0, **gs_opts)
-    e_high = sector_ground_energy(model, (sz2 + 2) / 2.0, **gs_opts)
-    return e_low < e_high - SINGLET_MARGIN
+    h = build_hamiltonian(model, build_basis(model, (model.default_sz2() + 2) / 2.0))
+    return energy < ground_state(h, method).energy - SINGLET_MARGIN
 
 
 #: Impurity configuration bits -> index in the {uu, ud, du, dd} product basis.
@@ -516,23 +523,19 @@ def model_at(model: ChainModel, param: str, value: float) -> ChainModel:
     raise ValueError(f"param must be one of {_SWEEP_PARAMS}, got {param!r}")
 
 
-def _analyze_point(model: ChainModel, param: str, value: float, gs_opts: dict) -> SweepPoint:
+def _analyze_point(model: ChainModel, param: str, value: float) -> SweepPoint:
     try:
         m = model_at(model, param, value)
-        basis = build_basis(m)
-        g = ground_state(build_hamiltonian(m, basis), **gs_opts)
-        e_high = sector_ground_energy(m, (m.default_sz2() + 2) / 2.0, **gs_opts)
-        singlet = g.energy < e_high - SINGLET_MARGIN
-        rho = impurity_rdm(g, basis)
-        f_s = measures.spin_correlation(rho)
+        a = m.analyze()
+        singlet = singlet_check(m, a.ground.energy)
         return SweepPoint(
             value=float(value),
-            energy=g.energy,
-            f_s=f_s,
+            energy=a.ground.energy,
+            f_s=a.f_s,
             singlet=singlet,
             degenerate=not singlet,
-            werner_residual=measures.werner_residual(rho),
-            report=werner.classify(werner.from_correlation(f_s)),
+            werner_residual=measures.werner_residual(a.rho),
+            report=werner.classify(werner.from_correlation(a.f_s)),
         )
     except (TikmError, ValueError) as exc:
         return SweepPoint(value=float(value), error=f"{type(exc).__name__}: {exc}")
@@ -543,7 +546,6 @@ def sweep(
     param: str,
     grid: Iterable[float],
     max_workers: int | None = None,
-    **gs_opts,
 ) -> list[SweepPoint]:
     """Analyze the ground state along a parameter grid.
 
@@ -559,20 +561,29 @@ def sweep(
         raise ValueError(f"param must be one of {_SWEEP_PARAMS}, got {param!r}")
     values = [float(v) for v in grid]
     if max_workers is None:
-        env = os.environ.get("KE_THREADS", "")
-        max_workers = int(env) if env.isdigit() and int(env) > 0 else (os.cpu_count() or 1)
+        max_workers = os.cpu_count() or 1
     if max_workers <= 1 or len(values) <= 1:
-        return [_analyze_point(model, param, v, gs_opts) for v in values]
+        return [_analyze_point(model, param, v) for v in values]
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(lambda v: _analyze_point(model, param, v, gs_opts), values))
+        return list(pool.map(lambda v: _analyze_point(model, param, v), values))
 
 
-def point_correlation(model: ChainModel, param: str, value: float, **gs_opts) -> float:
+def point_correlation(model: ChainModel, param: str, value: float) -> float:
     """f_s of the (unique) sector ground state at one parameter value."""
-    m = model_at(model, param, value)
-    basis = build_basis(m)
-    g = ground_state(build_hamiltonian(m, basis), **gs_opts)
-    return measures.spin_correlation(impurity_rdm(g, basis))
+    return model_at(model, param, value).analyze().f_s
+
+
+def _bisection_grid(lo: float, hi: float) -> list[float]:
+    """``lo``, ``hi`` and the midpoints of the first PRE_GRID_LEVELS bisection levels, in order.
+
+    Each midpoint is computed as bisection computes it, so a bisection of
+    [lo, hi] meets these points bit for bit.
+    """
+    xs = [lo, hi]
+    for _ in range(PRE_GRID_LEVELS):
+        mids = [0.5 * (a + b) for a, b in zip(xs, xs[1:])]
+        xs = [x for pair in zip(xs, mids) for x in pair] + [hi]
+    return xs
 
 
 def find_crossing(
@@ -582,14 +593,14 @@ def find_crossing(
     hi: float,
     target_fs: float = -0.25,
     tol: float = 1e-6,
-    pre_points: int = 9,
-    **gs_opts,
 ) -> float:
     """Bisect for the parameter value where f_s crosses ``target_fs``.
 
     Monotonicity of f_s is checked on a coarse pre-grid (NonMonotoneError
     lists the offending points) and the endpoints must straddle the target
-    (NoBracketError otherwise).  Bisection narrows the parameter bracket
+    (NoBracketError otherwise).  The pre-grid points are the first
+    bisection midpoints, so bisection takes their f_s from the pre-grid
+    instead of solving them again.  Bisection narrows the parameter bracket
     below ``tol`` (which must be positive, and reachable within
     MAX_BISECTIONS halvings); the bracket always contains the crossing, so
     the returned midpoint is within ``tol`` of it.  A crossing must be
@@ -603,17 +614,16 @@ def find_crossing(
         lo, hi = hi, lo
     if lo == hi:
         raise NoBracketError(f"empty interval [{lo}, {hi}]")
-    if pre_points < 2:
-        raise ValueError(f"pre_points must be >= 2, got {pre_points}")
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol!r}")
     if (hi - lo) / tol > 2.0**MAX_BISECTIONS:
         raise ValueError(f"tol {tol!r} needs more than {MAX_BISECTIONS} bisections of [{lo}, {hi}]")
-    xs = np.linspace(lo, hi, pre_points)
-    fs = [point_correlation(model, param, x, **gs_opts) for x in xs]
+    xs = _bisection_grid(lo, hi)
+    fs = [point_correlation(model, param, x) for x in xs]
+    known = dict(zip(xs, fs))
     direction = np.sign(fs[-1] - fs[0])
     offending = [
-        (float(xs[k]), fs[k], float(xs[k + 1]), fs[k + 1])
+        (xs[k], fs[k], xs[k + 1], fs[k + 1])
         for k in range(len(xs) - 1)
         if direction * (fs[k + 1] - fs[k]) < -1e-12
     ]
@@ -632,7 +642,7 @@ def find_crossing(
         if b - a < tol:
             break
         mid = 0.5 * (a + b)
-        f_mid = point_correlation(model, param, mid, **gs_opts) - target_fs
+        f_mid = (known[mid] if mid in known else point_correlation(model, param, mid)) - target_fs
         if abs(f_mid) < 1e-12:
             return mid
         if (f_mid > 0.0) == (f_a > 0.0):

@@ -84,6 +84,9 @@ class RkkyParams:
     def __post_init__(self) -> None:
         if self.dimension not in (1, 3):
             raise DomainError(f"dimension must be 1 or 3, got {self.dimension!r}")
+        for name in ("j", "fermi_energy", "fermi_wavevector", "dos_fermi", "bandwidth", "distance"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)!r}")
         for name in ("fermi_energy", "fermi_wavevector", "bandwidth", "distance"):
             if getattr(self, name) <= 0.0:
                 raise DomainError(f"{name} must be positive, got {getattr(self, name)!r}")

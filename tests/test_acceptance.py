@@ -109,7 +109,7 @@ def test_criterion_06_microscopic_werner_form():
             model = kondo_sim.ChainModel(sites=sites, jk=jk)
             basis = kondo_sim.build_basis(model)
             g = kondo_sim.ground_state(kondo_sim.build_hamiltonian(model, basis))
-            ok = ok and not g.degenerate and kondo_sim.singlet_check(model)
+            ok = ok and not g.degenerate and kondo_sim.singlet_check(model, g.energy)
             rho = kondo_sim.impurity_rdm(g, basis)
             ok = ok and measures.werner_residual(rho) < 1e-8
             for side in ("A", "B"):

@@ -148,6 +148,14 @@ def test_rkky_domain_error_exit(capsys):
     assert code == 2 and err
 
 
+@pytest.mark.parametrize("flag,value", [("--kf", "nan"), ("--ef", "inf")])
+def test_rkky_rejects_non_finite_input(capsys, flag, value):
+    argv = RKKY_BASE[:]
+    argv[argv.index(flag) + 1] = value
+    code, out, err = run(capsys, *argv, "--r-min", "1", "--r-max", "2", "--steps", "3")
+    assert code == 2 and "finite" in err and out == ""
+
+
 # ---------------------------------------------------------------- simulate
 
 
@@ -212,6 +220,27 @@ def test_simulate_rejects_non_finite_coupling(capsys, coupling):
     assert code == 2 and "finite" in err and out == ""
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"sites": 2, "jk": 1.0},
+        {"sites": 3, "jk": 0.7, "nup": 2, "ndn": 1},
+        {"sites": 5, "jk": 0.6, "idirect": 0.3},
+        {"sites": 6, "jk": 0.5, "idirect": -0.2, "xa": 1, "xb": 4},
+    ],
+)
+def test_simulate_sweep_and_point_correlation_agree(capsys, fields):
+    code, out, _ = run(capsys, "simulate", *(f"--{k}={v!r}" for k, v in fields.items()), "--format", "json")
+    assert code == 0
+    rec = json.loads(out)
+    model = kondo_sim.ChainModel(**fields)
+    (point,) = kondo_sim.sweep(model, "jk", [model.jk], max_workers=1)
+    assert (point.energy, point.f_s, point.singlet, point.werner_residual) == (
+        rec["energy"], rec["fs"], rec["singlet"], rec["werner_residual"]
+    )
+    assert kondo_sim.point_correlation(model, "jk", model.jk) == rec["fs"]
+
+
 def test_simulate_requires_sites(capsys):
     code, _, err = run(capsys, "simulate", "--jk", "0.5")
     assert code == 2 and "sites" in err
@@ -263,23 +292,6 @@ def test_critical_non_monotone_exit(capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------- global behavior
-
-
-def test_ke_threads_validation(capsys):
-    import os
-
-    os.environ["KE_THREADS"] = "abc"
-    try:
-        code, _, err = run(capsys, "werner", "--fs", "0")
-        assert code == 2 and "KE_THREADS" in err
-    finally:
-        del os.environ["KE_THREADS"]
-
-
-def test_ke_threads_accepts_integer(capsys, monkeypatch):
-    monkeypatch.setenv("KE_THREADS", "2")
-    code, _, _ = run(capsys, "werner", "--fs", "0")
-    assert code == 0
 
 
 def test_csv_outputs_bit_identical(capsys, tmp_path):

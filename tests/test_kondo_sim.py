@@ -260,7 +260,7 @@ def test_ground_state_matches_full_space_oracle(sites, jk, idirect, nelec, xa, x
     # comparable even when the oracle picked a different S^z mixture;
     # the matrix itself is only comparable for a unique even-count singlet
     assert abs(measures.spin_correlation(rho) - fs_ref) <= 1e-8
-    if nelec % 2 == 0 and ks.singlet_check(m):
+    if nelec % 2 == 0 and ks.singlet_check(m, g.energy):
         assert np.abs(rho - rho_ref / np.trace(rho_ref).real).max() <= 1e-7
 
 
@@ -320,7 +320,6 @@ def test_ground_state_invariants():
         g = ks.ground_state(h)
         assert abs(np.linalg.norm(g.amplitudes) - 1.0) <= 1e-12
         assert g.residual_norm <= 1e-8 * max(1.0, abs(g.energy))
-        assert g.converged
 
 
 def test_eq2_only_ground_energy():
@@ -329,11 +328,13 @@ def test_eq2_only_ground_energy():
     assert g.energy == -0.75 * 2.5
 
 
-def test_lanczos_not_converged_reports_diagnostics():
+def test_lanczos_not_converged_reports_diagnostics(monkeypatch):
     m = ks.ChainModel(sites=4, jk=0.5)
     h = ks.build_hamiltonian(m, ks.build_basis(m))
+    monkeypatch.setattr(ks, "MAX_KRYLOV", 3)
+    monkeypatch.setattr(ks, "MAX_RESTARTS", 1)
     with pytest.raises(NotConvergedError) as info:
-        ks.ground_state(h, method="lanczos", max_krylov=3, max_restarts=1)
+        ks.ground_state(h, method="lanczos")
     assert info.value.iterations > 0
     assert np.isfinite(info.value.residual)
 
@@ -399,10 +400,13 @@ def test_fs_within_physical_range():
 
 
 def test_singlet_check():
-    assert ks.singlet_check(ks.ChainModel(sites=2, nup=0, ndn=0, idirect=1.0))
-    assert not ks.singlet_check(ks.ChainModel(sites=2, nup=0, ndn=0, idirect=-1.0))
-    assert ks.singlet_check(ks.ChainModel(sites=4, jk=0.5))
-    assert ks.singlet_check(ks.ChainModel(sites=2, jk=1.0))
+    def singlet(m):
+        return ks.singlet_check(m, m.analyze().ground.energy)
+
+    assert singlet(ks.ChainModel(sites=2, nup=0, ndn=0, idirect=1.0))
+    assert not singlet(ks.ChainModel(sites=2, nup=0, ndn=0, idirect=-1.0))
+    assert singlet(ks.ChainModel(sites=4, jk=0.5))
+    assert singlet(ks.ChainModel(sites=2, jk=1.0))
 
 
 # ---------------------------------------------------------------- sweep
@@ -507,8 +511,6 @@ def test_find_crossing_no_bracket():
         ks.find_crossing(m, "jk", 1.0, 1.0)
     with pytest.raises(NoBracketError):
         ks.find_crossing(m, "jk", 0.2, 0.5)  # f_s stays below -1/4 here
-    with pytest.raises(ValueError):
-        ks.find_crossing(m, "jk", 1.0, 2.0, pre_points=1)
 
 
 def test_find_crossing_rejects_bad_tol(monkeypatch):
@@ -540,6 +542,28 @@ def test_find_crossing_accepts_steep_continuous_crossing(monkeypatch):
     monkeypatch.setattr(ks, "point_correlation", steep)
     root = ks.find_crossing(ks.ChainModel(sites=2), "jk", 1.0, 2.0, tol=1e-6)
     assert abs(root - 1.37) <= 1e-6
+
+
+def test_find_crossing_solves_no_value_twice(monkeypatch):
+    # the first three bisection midpoints are pre-grid points: their f_s comes
+    # from the pre-grid, and the bisection path is that of a plain bisection
+    def f(value):
+        return -0.25 + 0.5 * math.tanh(value - 1.37)
+
+    calls = []
+
+    def counting(model, param, value):
+        calls.append(value)
+        return f(value)
+
+    monkeypatch.setattr(ks, "point_correlation", counting)
+    root = ks.find_crossing(ks.ChainModel(sites=2), "jk", 1.0, 2.0, tol=1e-4)
+    assert len(calls) == len(set(calls)) == 9 + 11
+    a, b = 1.0, 2.0
+    while b - a >= 1e-4:
+        mid = 0.5 * (a + b)
+        a, b = (a, mid) if f(mid) > -0.25 else (mid, b)
+    assert root == 0.5 * (a + b)
 
 
 def test_find_crossing_non_monotone(monkeypatch):

@@ -148,3 +148,11 @@ def test_params_validation():
         _params(3, 1.0, j=2.0)  # g = 2 outside (0, 1)
     with pytest.raises(DomainError):
         rkky.RkkyParams(j=0.2, fermi_energy=0.0, fermi_wavevector=1.0, dos_fermi=1.0, bandwidth=1.0, dimension=3, distance=1.0)
+
+
+@pytest.mark.parametrize("field", ["j", "fermi_energy", "fermi_wavevector", "dos_fermi", "bandwidth", "distance"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_params_reject_non_finite(field, value):
+    fields = dict(j=0.2, fermi_energy=1.0, fermi_wavevector=0.5, dos_fermi=1.0, bandwidth=1.0, dimension=3, distance=1.0)
+    with pytest.raises(DomainError, match="finite"):
+        rkky.RkkyParams(**dict(fields, **{field: value}))
