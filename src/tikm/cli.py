@@ -6,12 +6,12 @@ Subcommands::
     tikm diagram   --fs-min --fs-max --steps      measures along a correlation grid
     tikm rkky      --dim 3 --j ... --r-min ...    coupling and Kondo scales vs distance
     tikm simulate  --sites 4 --jk 0.5 ...         exact diagonalization of one chain
-    tikm critical  --param jk --min --max --tol   bisect for the f_s = -1/4 crossing
+    tikm critical  --param jk --min --max --tol   find the f_s = -1/4 crossing
 
 Formats: ``pretty`` (6 significant digits, human), ``csv`` and ``json``
 (17 significant digits, bit-stable across runs).  Exit codes: 0 success,
 2 usage or domain error, 3 I/O error, 4 eigensolver not converged,
-5 degenerate ground state, 6 no bisection bracket, 7 non-monotone scan or
+5 degenerate ground state, 6 no bracket, 7 non-monotone scan or
 a jump of f_s over the target.
 """
 
@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, "pretty")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("critical", help="bisect for the parameter where f_s crosses -1/4")
+    p = sub.add_parser("critical", help="find the parameter where f_s crosses -1/4")
     p.add_argument("--param", choices=("jk", "idirect"), required=True)
     p.add_argument("--min", type=float, required=True)
     p.add_argument("--max", type=float, required=True)

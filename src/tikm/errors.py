@@ -43,7 +43,7 @@ class DegenerateGroundError(TikmError):
 
 
 class NoBracketError(TikmError):
-    """Bisection endpoints do not straddle the target value."""
+    """Search endpoints do not straddle the target value."""
 
 
 class NonMonotoneError(TikmError):

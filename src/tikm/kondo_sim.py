@@ -73,16 +73,16 @@ DEGENERACY_ATOL = 1e-9
 #: Energy margin by which the low-S^z sector must win for a singlet verdict.
 SINGLET_MARGIN = 1e-9
 
-#: Most bisection steps ``find_crossing`` takes; a ``tol`` below 2**-64 of the
-#: bracket is refused.
+#: ``find_crossing`` refuses a ``tol`` below 2**-MAX_BISECTIONS of the bracket
+#: and takes at most 2 * MAX_BISECTIONS steps after its pre-grid.
 MAX_BISECTIONS = 64
 
 #: ``find_crossing``'s pre-grid holds the bracket ends and the midpoints of its
 #: first PRE_GRID_LEVELS bisection levels, 2**PRE_GRID_LEVELS + 1 points.
 PRE_GRID_LEVELS = 3
 
-#: A final bisection bracket across which f_s changes by more than this many
-#: times the pre-grid's secant slope times the bracket width spans a jump.
+#: A final bracket across which f_s changes by more than this many times the
+#: pre-grid's secant slope times the bracket width spans a jump.
 JUMP_FACTOR = 100.0
 
 
@@ -574,11 +574,7 @@ def point_correlation(model: ChainModel, param: str, value: float) -> float:
 
 
 def _bisection_grid(lo: float, hi: float) -> list[float]:
-    """``lo``, ``hi`` and the midpoints of the first PRE_GRID_LEVELS bisection levels, in order.
-
-    Each midpoint is computed as bisection computes it, so a bisection of
-    [lo, hi] meets these points bit for bit.
-    """
+    """``lo``, ``hi`` and the midpoints of the first PRE_GRID_LEVELS bisection levels, in order."""
     xs = [lo, hi]
     for _ in range(PRE_GRID_LEVELS):
         mids = [0.5 * (a + b) for a, b in zip(xs, xs[1:])]
@@ -594,20 +590,29 @@ def find_crossing(
     target_fs: float = -0.25,
     tol: float = 1e-6,
 ) -> float:
-    """Bisect for the parameter value where f_s crosses ``target_fs``.
+    """Find the parameter value where f_s crosses ``target_fs``.
 
     Monotonicity of f_s is checked on a coarse pre-grid (NonMonotoneError
     lists the offending points) and the endpoints must straddle the target
-    (NoBracketError otherwise).  The pre-grid points are the first
-    bisection midpoints, so bisection takes their f_s from the pre-grid
-    instead of solving them again.  Bisection narrows the parameter bracket
-    below ``tol`` (which must be positive, and reachable within
-    MAX_BISECTIONS halvings); the bracket always contains the crossing, so
-    the returned midpoint is within ``tol`` of it.  A crossing must be
-    continuous: if f_s changes across the final bracket by more than
-    JUMP_FACTOR (100) times the pre-grid's secant slope times the bracket
-    width, f_s jumps over the target there and NonMonotoneError is raised.
-    Endpoint order does not matter.
+    (NoBracketError otherwise).  The search then narrows the pre-grid cell
+    whose ends straddle the target with a safeguarded secant method (Brent,
+    *Algorithms for Minimization without Derivatives*, 1973, ch. 4).  Each
+    step solves the secant estimate through the two most recently solved
+    points, kept at least tol/2 inside the bracket, so that once the
+    estimate is close the next point lands on the far side of the crossing
+    and closes the bracket.  It falls back to the bracket midpoint when the
+    estimate leaves the bracket or when the last two steps did not at least
+    halve the bracket, which keeps the worst case within a small multiple of
+    bisection's step count.  A solved point within 1e-12 of the target is
+    returned as is; otherwise the search stops once the bracket is narrower
+    than ``tol`` (which must be positive, and reachable within
+    MAX_BISECTIONS halvings) and returns its midpoint, which is within tol/2
+    of the crossing because the bracket always contains it.  No value is
+    solved twice.  A crossing must be continuous: if f_s changes across the
+    final bracket by more than JUMP_FACTOR (100) times the pre-grid's secant
+    slope times the bracket width, f_s jumps over the target there and
+    NonMonotoneError is raised.  ``target_fs`` must be finite.  Endpoint
+    order does not matter.
     """
     lo, hi = float(lo), float(hi)
     if lo > hi:
@@ -618,6 +623,8 @@ def find_crossing(
         raise ValueError(f"tol must be > 0, got {tol!r}")
     if (hi - lo) / tol > 2.0**MAX_BISECTIONS:
         raise ValueError(f"tol {tol!r} needs more than {MAX_BISECTIONS} bisections of [{lo}, {hi}]")
+    if not math.isfinite(target_fs):
+        raise ValueError(f"target_fs must be finite, got {target_fs!r}")
     xs = _bisection_grid(lo, hi)
     fs = [point_correlation(model, param, x) for x in xs]
     known = dict(zip(xs, fs))
@@ -632,31 +639,46 @@ def find_crossing(
             f"f_s is not monotone in {param} on [{lo}, {hi}]",
             points=offending or [(lo, fs[0], hi, fs[-1])],
         )
-    f_lo, f_hi = fs[0] - target_fs, fs[-1] - target_fs
-    if f_lo * f_hi > 0.0:
+    gs = [f - target_fs for f in fs]
+    if gs[0] * gs[-1] > 0.0:
         raise NoBracketError(
             f"f_s does not cross {target_fs} on [{lo}, {hi}] (endpoints {fs[0]:.6f}, {fs[-1]:.6f})"
         )
-    a, b, f_a, f_b = lo, hi, f_lo, f_hi
-    for _ in range(MAX_BISECTIONS):
-        if b - a < tol:
+    for x, g in zip(xs, gs):
+        if abs(g) < 1e-12:
+            return x
+    k = next(k for k in range(len(xs) - 1) if gs[k] * gs[k + 1] < 0.0)
+    a, b, g_a, g_b = xs[k], xs[k + 1], gs[k], gs[k + 1]
+    x_old, g_old, x_new, g_new = a, g_a, b, g_b  # the two most recently solved points
+    width_before_last = width_last = math.inf
+    for _ in range(2 * MAX_BISECTIONS):
+        width = b - a
+        if width < tol:
             break
-        mid = 0.5 * (a + b)
-        f_mid = (known[mid] if mid in known else point_correlation(model, param, mid)) - target_fs
-        if abs(f_mid) < 1e-12:
-            return mid
-        if (f_mid > 0.0) == (f_a > 0.0):
-            a, f_a = mid, f_mid
+        x = 0.5 * (a + b)
+        if width <= 0.5 * width_before_last and g_new != g_old:
+            estimate = x_new - g_new * (x_new - x_old) / (g_new - g_old)
+            if a < estimate < b:
+                x = min(max(estimate, a + 0.5 * tol), b - 0.5 * tol)
+        width_before_last, width_last = width_last, width
+        if x not in known:
+            known[x] = point_correlation(model, param, x)
+        g_x = known[x] - target_fs
+        if abs(g_x) < 1e-12:
+            return x
+        x_old, g_old, x_new, g_new = x_new, g_new, x, g_x
+        if (g_x > 0.0) == (g_a > 0.0):
+            a, g_a = x, g_x
         else:
-            b, f_b = mid, f_mid
+            b, g_b = x, g_x
     if b - a >= tol:
-        raise ValueError(f"bracket [{a}, {b}] is still wider than tol {tol!r} after {MAX_BISECTIONS} bisections")
+        raise ValueError(f"bracket [{a}, {b}] is still wider than tol {tol!r} after {2 * MAX_BISECTIONS} steps")
     slope = abs(fs[-1] - fs[0]) / (hi - lo)
-    if abs(f_b - f_a) > JUMP_FACTOR * slope * (b - a):
+    if abs(g_b - g_a) > JUMP_FACTOR * slope * (b - a):
         raise NonMonotoneError(
             f"f_s jumps over {target_fs} in {param} between {a} and {b} "
-            f"(from {f_a + target_fs:.6f} to {f_b + target_fs:.6f})",
-            points=[(a, f_a + target_fs, b, f_b + target_fs)],
+            f"(from {g_a + target_fs:.6f} to {g_b + target_fs:.6f})",
+            points=[(a, g_a + target_fs, b, g_b + target_fs)],
         )
     return 0.5 * (a + b)
 

@@ -282,6 +282,12 @@ def test_critical_jump_exit(capsys):
     assert code == 7 and "jumps" in err and out == ""
 
 
+def test_critical_rejects_non_finite_target(capsys):
+    code, out, err = run(capsys, "critical", "--sites", "2", "--param", "jk", "--min", "1", "--max", "2",
+                         "--target-fs", "nan", "--format", "json")
+    assert code == 2 and "finite" in err and out == ""
+
+
 def test_critical_non_monotone_exit(capsys, monkeypatch):
     def bumpy(*args, **kwargs):
         raise NonMonotoneError("not monotone", points=[(0.0, 0.1, 1.0, -0.1)])

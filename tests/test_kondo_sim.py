@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tikm import kondo_sim as ks
 from tikm import measures, qmat
@@ -544,12 +546,22 @@ def test_find_crossing_accepts_steep_continuous_crossing(monkeypatch):
     assert abs(root - 1.37) <= 1e-6
 
 
-def test_find_crossing_solves_no_value_twice(monkeypatch):
-    # the first three bisection midpoints are pre-grid points: their f_s comes
-    # from the pre-grid, and the bisection path is that of a plain bisection
-    def f(value):
-        return -0.25 + 0.5 * math.tanh(value - 1.37)
+def _smooth_monotone(lo, width, sign, slope, steps):
+    """f(lo + u * width) = sign * (slope * u + sum_i w_i * tanh(k_i * (u - c_i))).
 
+    With w_i > 0 its steepest slope over its secant slope on [lo, lo + width]
+    is at most max k_i / tanh(k_i), below JUMP_FACTOR = 100 for k_i < 99, and
+    the linear term keeps every crossing well conditioned.
+    """
+
+    def f(x):
+        u = (x - lo) / width
+        return sign * (slope * u + sum(w * math.tanh(k * (u - c)) for w, k, c in steps))
+
+    return f
+
+
+def _count_solves(monkeypatch, f):
     calls = []
 
     def counting(model, param, value):
@@ -557,13 +569,98 @@ def test_find_crossing_solves_no_value_twice(monkeypatch):
         return f(value)
 
     monkeypatch.setattr(ks, "point_correlation", counting)
+    return calls
+
+
+def _secant_step_bound(lo, hi, tol):
+    """Most steps allowed after the pre-grid: 2 * ceil(log2(cell / tol)) + 2, ``cell`` its cell width."""
+    cell = (hi - lo) / 2**ks.PRE_GRID_LEVELS
+    return 2 * math.ceil(math.log2(cell / tol)) + 2
+
+
+def test_find_crossing_solves_no_value_twice(monkeypatch):
+    # the secant steps start from the pre-grid cell that holds the crossing;
+    # on a smooth f_s two of them close the bracket around it
+    def f(value):
+        return -0.25 + 0.5 * math.tanh(value - 1.37)
+
+    calls = _count_solves(monkeypatch, f)
     root = ks.find_crossing(ks.ChainModel(sites=2), "jk", 1.0, 2.0, tol=1e-4)
-    assert len(calls) == len(set(calls)) == 9 + 11
-    a, b = 1.0, 2.0
-    while b - a >= 1e-4:
-        mid = 0.5 * (a + b)
-        a, b = (a, mid) if f(mid) > -0.25 else (mid, b)
-    assert root == 0.5 * (a + b)
+    assert len(calls) == len(set(calls)) == 9 + 2
+    assert abs(root - 1.37) < 1e-4 / 2
+
+
+def test_find_crossing_rejects_non_finite_target(monkeypatch):
+    calls = _count_solves(monkeypatch, lambda value: 0.0)
+    for target in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ks.find_crossing(ks.ChainModel(sites=2), "jk", 1.0, 2.0, target_fs=target, tol=1e-4)
+    assert calls == []  # refused before any solve
+
+
+@st.composite
+def _monotone_crossings(draw):
+    """A smooth monotone f on [lo, hi], a target inside its range, and a tol."""
+    lo = draw(st.floats(-5.0, 5.0))
+    width = 10.0 ** draw(st.floats(-2.0, 1.0))
+    unit = st.tuples(st.floats(0.05, 1.0), st.floats(0.1, 99.0), st.floats(0.0, 1.0))
+    f = _smooth_monotone(
+        lo,
+        width,
+        draw(st.sampled_from((-1.0, 1.0))),
+        draw(st.floats(0.05, 1.0)),
+        draw(st.lists(unit, min_size=1, max_size=3)),
+    )
+    target = f(lo) + draw(st.floats(0.01, 0.99)) * (f(lo + width) - f(lo))
+    tol = width * 10.0 ** draw(st.floats(-9.0, -1.0))
+    return f, lo, lo + width, target, tol
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_monotone_crossings())
+def test_find_crossing_properties_on_smooth_monotone_f(case):
+    f, lo, hi, target, tol = case
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_solves(mp, f)
+        root = ks.find_crossing(ks.ChainModel(sites=2), "jk", lo, hi, target_fs=target, tol=tol)
+    # f is monotone, so the crossing is within tol/2 of root iff f straddles the target there
+    assert (f(root - tol / 2) - target) * (f(root + tol / 2) - target) <= 0.0
+    assert len(calls) == len(set(calls))
+    assert len(calls) - (2**ks.PRE_GRID_LEVELS + 1) <= _secant_step_bound(lo, hi, tol)
+
+
+def test_find_crossing_bisects_when_secant_stalls(monkeypatch):
+    # two steep steps in one cell: plain secant steps creep along one side
+    # and take 9 + 54 solves; the halving safeguard takes 9 + 9
+    f = _smooth_monotone(0.0, 1.0, 1.0, 0.27, [(0.56, 32.5, 0.0286), (0.51, 94.4, 0.464)])
+    target, tol = f(0.0) + 0.488 * (f(1.0) - f(0.0)), 1.7e-6
+    calls = _count_solves(monkeypatch, f)
+    root = ks.find_crossing(ks.ChainModel(sites=2), "jk", 0.0, 1.0, target_fs=target, tol=tol)
+    assert (f(root - tol / 2) - target) * (f(root + tol / 2) - target) <= 0.0
+    assert len(calls) - 9 <= _secant_step_bound(0.0, 1.0, tol)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.floats(-5.0, 5.0), st.floats(0.01, 0.99), st.floats(-9.0, -3.0))
+def test_find_crossing_step_function_raises_jump(lo, share, log_tol):
+    # f_s steps over the target at a random point of [lo, lo + 1]
+    edge, tol = lo + share, 10.0**log_tol
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ks, "point_correlation", lambda model, param, value: -0.5 if value < edge else 0.0)
+        with pytest.raises(NonMonotoneError, match="jumps") as info:
+            ks.find_crossing(ks.ChainModel(sites=2), "jk", lo, lo + 1.0, tol=tol)
+    ((a, _, b, _),) = info.value.points
+    assert a < edge <= b and b - a < tol
+
+
+def test_find_crossing_on_the_lanczos_path():
+    # dim 1250 at L = 6 is above DENSE_CUTOFF, so every point is a Lanczos solve
+    m = ks.ChainModel(sites=6)
+    tol = 1e-4
+    value = ks.find_crossing(m, "jk", 0.5, 6.0, tol=tol)
+    below, above = (ks.point_correlation(m, "jk", value + d) + 0.25 for d in (-tol, tol))
+    assert below * above < 0.0
+    assert abs(value - 1.6936836242675781) < tol  # the crossing found by plain bisection
 
 
 def test_find_crossing_non_monotone(monkeypatch):
