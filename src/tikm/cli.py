@@ -43,6 +43,20 @@ EXIT_DEGENERATE = 5
 EXIT_NO_BRACKET = 6
 EXIT_NON_MONOTONE = 7
 
+#: The exit code of each error class ``main`` reports, matched in this order;
+#: any other exception propagates.
+_EXIT_CODES: dict[type[Exception], int] = {
+    OutOfRangeError: EXIT_USAGE,
+    DomainError: EXIT_USAGE,
+    EmptySectorError: EXIT_USAGE,
+    ValueError: EXIT_USAGE,
+    OSError: EXIT_IO,
+    NotConvergedError: EXIT_NOT_CONVERGED,
+    DegenerateGroundError: EXIT_DEGENERATE,
+    NoBracketError: EXIT_NO_BRACKET,
+    NonMonotoneError: EXIT_NON_MONOTONE,
+}
+
 _MACHINE_DIGITS = ".17g"
 _PRETTY_DIGITS = ".6g"
 
@@ -112,6 +126,13 @@ def _emit_record(pairs: list[tuple[str, object]], fmt: str, out: str | None) -> 
         _write_out(_pretty_table(pairs), out)
 
 
+def _emit_table(columns: Sequence[str], rows: list[list[object]], fmt: str, out: str | None) -> None:
+    if fmt == "json":
+        _write_out(_json_line([dict(zip(columns, row)) for row in rows]) + "\n", out)
+    else:
+        _write_out(_csv_text(columns, rows), out)
+
+
 def cmd_werner(args: argparse.Namespace) -> int:
     state = werner.from_fidelity(args.ps) if args.ps is not None else werner.from_correlation(args.fs)
     _emit_record(_report_pairs(state.f_s, state), args.format, args.out)
@@ -140,28 +161,10 @@ def cmd_diagram(args: argparse.Namespace) -> int:
     if args.steps < 2:
         raise OutOfRangeError(f"steps must be >= 2, got {args.steps}")
     rows = []
-    for f_s in np.linspace(args.fs_min, args.fs_max, args.steps):
-        state = werner.from_correlation(float(f_s))
-        rep = werner.classify(state)
-        rows.append(
-            [
-                float(f_s),
-                state.p_s,
-                state.p_t,
-                rep.concurrence,
-                rep.negativity,
-                rep.pair_entropy,
-                rep.single_entropy,
-                rep.entangled,
-                rep.teleportation_useful,
-                rep.chsh_violating,
-            ]
-        )
-    if args.format == "json":
-        text = _json_line([dict(zip(_DIAGRAM_COLUMNS, row)) for row in rows]) + "\n"
-    else:
-        text = _csv_text(_DIAGRAM_COLUMNS, rows)
-    _write_out(text, args.out)
+    for f_s in np.linspace(args.fs_min, args.fs_max, args.steps).tolist():
+        report = dict(_report_pairs(f_s, werner.from_correlation(f_s)))
+        rows.append([report[column] for column in _DIAGRAM_COLUMNS])
+    _emit_table(_DIAGRAM_COLUMNS, rows, args.format, args.out)
     return EXIT_OK
 
 
@@ -185,14 +188,8 @@ def cmd_rkky(args: argparse.Namespace) -> int:
             distance=float(r),
         )
         res = rkky.coupling(params)
-        x = 2.0 * args.kf * float(r)
-        fval = rkky.f3(x) if args.dim == 3 else rkky.f1(x)
-        rows.append([float(r), x, fval, res.coupling, res.sign_class, res.kondo_temperature, res.ratio])
-    if args.format == "json":
-        text = _json_line([dict(zip(_RKKY_COLUMNS, row)) for row in rows]) + "\n"
-    else:
-        text = _csv_text(_RKKY_COLUMNS, rows)
-    _write_out(text, args.out)
+        rows.append([float(r), res.x, res.f, res.coupling, res.sign_class, res.kondo_temperature, res.ratio])
+    _emit_table(_RKKY_COLUMNS, rows, args.format, args.out)
     return EXIT_OK
 
 
@@ -345,24 +342,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OutOfRangeError, DomainError, EmptySectorError, ValueError) as exc:
+    except tuple(_EXIT_CODES) as exc:
         sys.stderr.write(f"tikm: {exc}\n")
-        return EXIT_USAGE
-    except OSError as exc:
-        sys.stderr.write(f"tikm: {exc}\n")
-        return EXIT_IO
-    except NotConvergedError as exc:
-        sys.stderr.write(f"tikm: {exc}\n")
-        return EXIT_NOT_CONVERGED
-    except DegenerateGroundError as exc:
-        sys.stderr.write(f"tikm: {exc}\n")
-        return EXIT_DEGENERATE
-    except NoBracketError as exc:
-        sys.stderr.write(f"tikm: {exc}\n")
-        return EXIT_NO_BRACKET
-    except NonMonotoneError as exc:
-        sys.stderr.write(f"tikm: {exc}\n")
-        return EXIT_NON_MONOTONE
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

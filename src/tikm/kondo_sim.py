@@ -401,8 +401,13 @@ def _lanczos_ground(h):
     iterations = 0
     theta0 = theta1 = np.inf
     residual = np.inf
-    for _ in range(MAX_RESTARTS):
-        theta0, theta1, v, steps, exhausted = _lanczos_block(h, v)
+    for restart in range(MAX_RESTARTS):
+        theta0, second, v, steps, exhausted = _lanczos_block(h, v)
+        if restart == 0:
+            # later passes start from the Ritz vector, whose Krylov space barely
+            # reaches the other eigenvectors, so only this second Ritz value bounds
+            # the first excited level (from above, by interlacing)
+            theta1 = second
         iterations += steps
         residual = float(np.linalg.norm(h @ v - theta0 * v))
         scale = max(1.0, abs(theta0))
@@ -435,8 +440,12 @@ def ground_state(h: sparse.csr_matrix, method: str = "auto") -> GroundStateResul
     blocks from a fixed-seed start vector until the explicit residual
     ||H psi - E psi|| drops to ``RESIDUAL_RTOL * max(1, |E|)``, and raises
     NotConvergedError if it cannot reach 1e-8 * max(1, |E|) within
-    MAX_RESTARTS passes.  A gap below 1e-9 between the two lowest (Ritz)
-    values marks the result degenerate.
+    MAX_RESTARTS passes.  ``gap`` is E_1 - E_0 of the dense spectrum, or on
+    the Lanczos path the second Ritz value of the first pass (the one started
+    from the random vector; it bounds E_1 from above) minus the final energy.
+    A gap below DEGENERACY_ATOL marks the result degenerate.  A single start
+    vector does not see an exactly degenerate partner within the sector, so
+    the Lanczos path can miss such a degeneracy.
     """
     dim = h.shape[0]
     if dim == 0:
@@ -605,10 +614,11 @@ def find_crossing(
     halve the bracket, which keeps the worst case within a small multiple of
     bisection's step count.  A solved point within 1e-12 of the target is
     returned as is; otherwise the search stops once the bracket is narrower
-    than ``tol`` (which must be positive, and reachable within
-    MAX_BISECTIONS halvings) and returns its midpoint, which is within tol/2
-    of the crossing because the bracket always contains it.  No value is
-    solved twice.  A crossing must be continuous: if f_s changes across the
+    than ``tol`` and returns its midpoint, which is within tol/2 of the
+    crossing because the bracket always contains it.  ``tol`` must be
+    positive, reachable within MAX_BISECTIONS halvings and above twice the
+    float spacing at the bracket ends; then every step lands strictly inside
+    the bracket, so no value is solved twice.  A crossing must be continuous: if f_s changes across the
     final bracket by more than JUMP_FACTOR (100) times the pre-grid's secant
     slope times the bracket width, f_s jumps over the target there and
     NonMonotoneError is raised.  ``target_fs`` must be finite.  Endpoint
@@ -623,11 +633,12 @@ def find_crossing(
         raise ValueError(f"tol must be > 0, got {tol!r}")
     if (hi - lo) / tol > 2.0**MAX_BISECTIONS:
         raise ValueError(f"tol {tol!r} needs more than {MAX_BISECTIONS} bisections of [{lo}, {hi}]")
+    if tol <= 2.0 * np.spacing(max(abs(lo), abs(hi))):
+        raise ValueError(f"tol {tol!r} is below the float resolution of [{lo}, {hi}]")
     if not math.isfinite(target_fs):
         raise ValueError(f"target_fs must be finite, got {target_fs!r}")
     xs = _bisection_grid(lo, hi)
     fs = [point_correlation(model, param, x) for x in xs]
-    known = dict(zip(xs, fs))
     direction = np.sign(fs[-1] - fs[0])
     offending = [
         (xs[k], fs[k], xs[k + 1], fs[k + 1])
@@ -661,9 +672,7 @@ def find_crossing(
             if a < estimate < b:
                 x = min(max(estimate, a + 0.5 * tol), b - 0.5 * tol)
         width_before_last, width_last = width_last, width
-        if x not in known:
-            known[x] = point_correlation(model, param, x)
-        g_x = known[x] - target_fs
+        g_x = point_correlation(model, param, x) - target_fs
         if abs(g_x) < 1e-12:
             return x
         x_old, g_old, x_new, g_new = x_new, g_new, x, g_x

@@ -1,14 +1,16 @@
 """Dense complex linear algebra for small spin Hilbert spaces.
 
-Everything here acts on plain ``numpy`` arrays over spaces of dimension 2^n.
-The two-qubit product basis is ordered {|up,up>, |up,down>, |down,up>,
-|down,down>}; all Bell-state constants and partial operations follow that
-convention.
+Everything here acts on plain ``numpy`` arrays.  The Hermitian checks and
+eigensolver take any square matrix; the partial trace and partial transpose
+are two-qubit only: they take a 4x4 operator and the label "A" or "B" of one
+qubit.  The two-qubit product basis is ordered {|up,up>, |up,down>,
+|down,up>, |down,down>}; all Bell-state constants and partial operations
+follow that convention.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,26 +58,26 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.abs(m - m.conj().T).max())
 
 
-def require_hermitian(m: np.ndarray, atol: float = HERMITICITY_ATOL, name: str = "matrix") -> np.ndarray:
-    """The input as a square float (if real) or complex array, checked Hermitian within ``atol``."""
+def require_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """The input as a square float (if real) or complex array, checked Hermitian within HERMITICITY_ATOL."""
     m = np.asarray(m)
     m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"{name} must be square, got shape {m.shape}")
     defect = hermiticity_defect(m)
-    if defect > atol:
-        raise NotHermitianError(f"{name} deviates from Hermiticity by {defect:.3e} (atol {atol:.1e})")
+    if defect > HERMITICITY_ATOL:
+        raise NotHermitianError(f"{name} deviates from Hermiticity by {defect:.3e} (atol {HERMITICITY_ATOL:.1e})")
     return m
 
 
-def hermitian_eig(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> Spectrum:
+def hermitian_eig(m: np.ndarray) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns eigenvalues in ascending order and orthonormal eigenvector
     columns satisfying m = V diag(w) V+ to working precision.  A real
     symmetric input is solved in real arithmetic and gives real vectors.
     """
-    m = require_hermitian(m, atol=atol)
+    m = require_hermitian(m)
     w, v = np.linalg.eigh(m)
     return Spectrum(values=w, vectors=v)
 
@@ -96,76 +98,34 @@ def check_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
     return rho
 
 
-def _factor_dims(rho: np.ndarray, dims: Sequence[int] | None) -> tuple[int, ...]:
-    n = rho.shape[0]
-    if dims is None:
-        if n == 4:
-            return (2, 2)
-        k = n.bit_length() - 1
-        if 2**k != n:
-            raise DimensionMismatchError(f"dimension {n} is not a power of two; pass dims explicitly")
-        return (2,) * k
-    dims = tuple(int(d) for d in dims)
-    if int(np.prod(dims)) != n:
-        raise DimensionMismatchError(f"dims {dims} do not factor dimension {n}")
-    return dims
-
-
-def _subsystem_indices(which: object, nfactors: int) -> tuple[int, ...]:
-    if isinstance(which, str):
-        letters = {"A": 0, "B": 1}
-        if which not in letters:
-            raise DimensionMismatchError(f"unknown subsystem label {which!r}")
-        idx: tuple[int, ...] = (letters[which],)
-    elif isinstance(which, (int, np.integer)):
-        idx = (int(which),)
-    else:
-        idx = tuple(int(i) for i in which)
-    for i in idx:
-        if not 0 <= i < nfactors:
-            raise DimensionMismatchError(f"subsystem index {i} out of range for {nfactors} factors")
-    if len(set(idx)) != len(idx):
-        raise DimensionMismatchError("repeated subsystem index")
-    return idx
-
-
-def partial_trace(rho: np.ndarray, keep: object, dims: Sequence[int] | None = None) -> np.ndarray:
-    """Trace out all tensor factors except ``keep``.
-
-    ``keep`` is "A"/"B" for the two-qubit case, or an index / sequence of
-    factor indices for a general product space described by ``dims``.
-    """
+def _two_qubit(rho: np.ndarray, label: object) -> np.ndarray:
+    """A 4x4 operator as the tensor t[a, b, a', b'] = rho[2a + b, 2a' + b'], checked with its label."""
     rho = np.asarray(rho, dtype=complex)
-    dims = _factor_dims(rho, dims)
-    keep_idx = _subsystem_indices(keep, len(dims))
-    n = len(dims)
-    t = rho.reshape(dims + dims)
-    bra = list(range(n))
-    ket = [(i if i not in keep_idx else n + i) for i in range(n)]
-    out = [i for i in keep_idx] + [n + i for i in keep_idx]
-    reduced = np.einsum(t, bra + ket, out)
-    d = int(np.prod([dims[i] for i in keep_idx]))
-    return reduced.reshape(d, d)
+    if rho.shape != (4, 4):
+        raise DimensionMismatchError(f"expected a 4x4 two-qubit operator, got shape {rho.shape}")
+    if label not in ("A", "B"):
+        raise DimensionMismatchError(f"unknown subsystem label {label!r}")
+    return rho.reshape(2, 2, 2, 2)
 
 
-def partial_transpose(rho: np.ndarray, subsystem: object = "B", dims: Sequence[int] | None = None) -> np.ndarray:
-    """Transpose one tensor factor of a bipartite (or multipartite) operator."""
-    rho = np.asarray(rho, dtype=complex)
-    dims = _factor_dims(rho, dims)
-    sub = _subsystem_indices(subsystem, len(dims))
-    n = len(dims)
-    t = rho.reshape(dims + dims)
-    axes = list(range(2 * n))
-    for i in sub:
-        axes[i], axes[n + i] = axes[n + i], axes[i]
-    return t.transpose(axes).reshape(rho.shape)
+def partial_trace(rho: np.ndarray, keep: object) -> np.ndarray:
+    """The 2x2 marginal of qubit ``keep`` ("A" or "B") of a 4x4 operator."""
+    t = _two_qubit(rho, keep)
+    return np.einsum("abcb->ac", t) if keep == "A" else np.einsum("abad->bd", t)
 
 
-def clamp_spectrum(w: np.ndarray, floor: float = PSD_FLOOR, name: str = "rho") -> np.ndarray:
-    """Zero out round-off negatives; reject eigenvalues below the floor."""
+def partial_transpose(rho: np.ndarray, subsystem: object = "B") -> np.ndarray:
+    """Transpose qubit ``subsystem`` ("A" or "B") of a 4x4 operator."""
+    t = _two_qubit(rho, subsystem)
+    axes = (2, 1, 0, 3) if subsystem == "A" else (0, 3, 2, 1)
+    return t.transpose(axes).reshape(4, 4)
+
+
+def clamp_spectrum(w: np.ndarray) -> np.ndarray:
+    """Zero out round-off negatives of a spectrum; reject eigenvalues below PSD_FLOOR."""
     w = np.asarray(w, dtype=float)
-    if w.min(initial=0.0) < floor:
-        raise NegativeEigenvalueError(f"{name} has eigenvalue {w.min():.3e} below floor {floor:.1e}")
+    if w.min(initial=0.0) < PSD_FLOOR:
+        raise NegativeEigenvalueError(f"rho has eigenvalue {w.min():.3e} below floor {PSD_FLOOR:.1e}")
     return np.where(w < 0.0, 0.0, w)
 
 

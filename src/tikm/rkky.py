@@ -101,8 +101,14 @@ class RkkyParams:
 
 @dataclass(frozen=True)
 class CouplingResult:
-    """Exchange coupling, its sign class, and the competing Kondo scale."""
+    """Exchange coupling, its sign class, and the competing Kondo scale.
 
+    ``x`` = 2 k_F R is the argument of the range function and ``f`` its value
+    F_d(x) for the dimension of the inputs.
+    """
+
+    x: float
+    f: float
     coupling: float
     sign_class: str
     kondo_temperature: float
@@ -121,4 +127,4 @@ def coupling(p: RkkyParams) -> CouplingResult:
     else:
         sign = "zero"
     tk = kondo_temperature(p.bandwidth, p.g)
-    return CouplingResult(coupling=value, sign_class=sign, kondo_temperature=tk, ratio=value / tk)
+    return CouplingResult(x=x, f=fval, coupling=value, sign_class=sign, kondo_temperature=tk, ratio=value / tk)

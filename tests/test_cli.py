@@ -5,7 +5,16 @@ import warnings
 import pytest
 
 from tikm import cli, kondo_sim
-from tikm.errors import NonMonotoneError, NotConvergedError
+from tikm.errors import (
+    DegenerateGroundError,
+    DomainError,
+    EmptySectorError,
+    NoBracketError,
+    NonMonotoneError,
+    NotConvergedError,
+    NotHermitianError,
+    OutOfRangeError,
+)
 
 
 def run(capsys, *argv):
@@ -298,6 +307,39 @@ def test_critical_non_monotone_exit(capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------- global behavior
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        (OutOfRangeError("boom"), 2),
+        (DomainError("boom"), 2),
+        (EmptySectorError("boom"), 2),
+        (ValueError("boom"), 2),
+        (OSError("boom"), 3),
+        (FileNotFoundError("boom"), 3),
+        (NotConvergedError("boom"), 4),
+        (DegenerateGroundError("boom"), 5),
+        (NoBracketError("boom"), 6),
+        (NonMonotoneError("boom"), 7),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None,
+)
+def test_error_exit_codes(capsys, monkeypatch, exc, code):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_werner", fail)
+    assert run(capsys, "werner", "--fs", "0") == (code, "", "tikm: boom\n")
+
+
+def test_unmapped_error_propagates(capsys, monkeypatch):
+    def fail(args):
+        raise NotHermitianError("boom")
+
+    monkeypatch.setattr(cli, "cmd_werner", fail)
+    with pytest.raises(NotHermitianError):
+        cli.main(["werner", "--fs", "0"])
 
 
 def test_csv_outputs_bit_identical(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import eigsh
 
 from tikm import kondo_sim as ks
 from tikm import measures, qmat
@@ -311,6 +313,24 @@ def test_lanczos_agrees_with_dense():
     assert lanczos.method == "lanczos" and dense.method == "dense"
 
 
+@pytest.mark.parametrize("sites", [5, 6, 7])
+def test_lanczos_gap_bounds_the_true_gap(sites):
+    # ARPACK at tol=0 stands in for the dense spectrum, which takes 10-16 s at L=7;
+    # electron counts are even because at L=5 an odd count can carry an exact
+    # in-sector degeneracy, which no single-vector Lanczos sees
+    rng = np.random.default_rng(3)
+    for jk, idirect, extra in itertools.product((0.3, 0.5, 1.0, 2.0), (-0.5, 0.0, 0.7), (0, 1)):
+        n = sites // 2 + extra
+        m = ks.ChainModel(sites=sites, jk=jk, idirect=idirect, nup=n, ndn=n)
+        h = ks.build_hamiltonian(m, ks.build_basis(m))
+        w = np.sort(eigsh(h, k=3, which="SA", tol=0, v0=rng.standard_normal(h.shape[0]))[0])
+        g = ks.ground_state(h, method="lanczos")
+        # the first pass's second Ritz value lies above E_1, so the gap is never
+        # underestimated beyond round-off
+        assert -1e-12 <= g.gap - (w[1] - w[0]) <= 1e-3, (jk, idirect, n)
+        assert g.degenerate == (w[1] - w[0] < ks.DEGENERACY_ATOL)
+
+
 def test_ground_state_invariants():
     for model in (
         ks.ChainModel(sites=4, jk=0.5),
@@ -520,10 +540,12 @@ def test_find_crossing_rejects_bad_tol(monkeypatch):
     for tol in (0.0, -1e-4, math.nan, 1e-30):  # 1e-30 needs more than MAX_BISECTIONS halvings
         with pytest.raises(ValueError, match="tol"):
             ks.find_crossing(m, "jk", 1.0, 2.0, tol=tol)
-    # a tol below the float spacing cannot be reached: the step cap ends the loop
-    monkeypatch.setattr(ks, "point_correlation", lambda model, param, value, **kw: -0.5 if value < 1.3 else 0.0)
-    with pytest.raises(ValueError, match="tol"):
+    # a tol below the float spacing cannot be reached and is refused before any solve
+    calls = []
+    monkeypatch.setattr(ks, "point_correlation", lambda model, param, value, **kw: calls.append(value) or -0.5)
+    with pytest.raises(ValueError, match="float resolution"):
         ks.find_crossing(m, "jk", 1.0, 2.0, tol=1e-17)
+    assert calls == []
 
 
 def test_find_crossing_rejects_jump(monkeypatch):

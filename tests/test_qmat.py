@@ -93,24 +93,11 @@ def test_partial_trace_werner_marginal():
     assert np.abs(qmat.partial_trace(rho, "B") - np.eye(2) / 2).max() <= 1e-14
 
 
-def test_partial_trace_multifactor():
-    # tracing two factors of a three-qubit product state
-    rng = np.random.default_rng(13)
-    parts = [random_density_matrix(rng, dim=2) for _ in range(3)]
-    rho = qmat.kron(qmat.kron(parts[0], parts[1]), parts[2])
-    out = qmat.partial_trace(rho, 2, dims=(2, 2, 2))
-    assert np.abs(out - parts[2]).max() <= 1e-12
-    out01 = qmat.partial_trace(rho, (0, 1), dims=(2, 2, 2))
-    assert np.abs(out01 - qmat.kron(parts[0], parts[1])).max() <= 1e-12
-
-
 def test_partial_trace_dimension_errors():
     with pytest.raises(DimensionMismatchError):
         qmat.partial_trace(np.eye(4) / 4, "C")
     with pytest.raises(DimensionMismatchError):
         qmat.partial_trace(np.eye(6) / 6, "A")
-    with pytest.raises(DimensionMismatchError):
-        qmat.partial_trace(np.eye(4) / 4, "A", dims=(2, 3))
 
 
 def test_partial_transpose_product_state_stays_psd():

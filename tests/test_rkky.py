@@ -128,6 +128,14 @@ def test_coupling_afm_at_pi():
     assert res.ratio == res.coupling / res.kondo_temperature
 
 
+@pytest.mark.parametrize("dim, f", [(3, rkky.f3), (1, rkky.f1)])
+def test_coupling_carries_range_function(dim, f):
+    res = rkky.coupling(_params(dim, 2.7))
+    assert res.x == 2.0 * 0.5 * 2.7
+    assert res.f == f(res.x)
+    assert res.coupling == 4.0 * math.pi * 0.2**2 * 1.0 * res.f
+
+
 def test_coupling_sign_flip_with_distance():
     assert rkky.coupling(_params(3, 4.4)).sign_class == "AFM"
     assert rkky.coupling(_params(3, 4.6)).sign_class == "FM"
