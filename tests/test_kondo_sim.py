@@ -331,6 +331,65 @@ def test_lanczos_gap_bounds_the_true_gap(sites):
         assert g.degenerate == (w[1] - w[0] < ks.DEGENERACY_ATOL)
 
 
+def _krylov_block(dim):
+    return np.empty((min(ks.MAX_KRYLOV, dim), dim))
+
+
+def _orthonormality_error(V, n):
+    return np.abs(V[:n] @ V[:n].T - np.eye(n)).max()
+
+
+@pytest.mark.parametrize(
+    "model, sz",
+    [
+        (ks.ChainModel(sites=2, jk=0.5), None),
+        (ks.ChainModel(sites=3, jk=1.0, idirect=0.3), None),
+        (ks.ChainModel(sites=3, jk=0.7, nup=2, ndn=1), 1.5),
+        (ks.ChainModel(sites=4, jk=0.5), None),
+        (ks.ChainModel(sites=4, jk=2.0, idirect=-0.5, xa=0, xb=3), 1),
+        (ks.ChainModel(sites=8, jk=0.5), None),
+    ],
+)
+def test_lanczos_block_basis_is_orthonormal(model, sz):
+    h = ks.build_hamiltonian(model, ks.build_basis(model, sz))
+    v0 = np.random.default_rng(1).standard_normal(h.shape[0])
+    V = _krylov_block(h.shape[0])
+    n = ks._lanczos_block(h, v0 / np.linalg.norm(v0), V)[3]
+    assert n > 1
+    assert _orthonormality_error(V, n) <= 1e-12
+
+
+def test_lanczos_block_repasses_when_gram_schmidt_cancels(monkeypatch):
+    # only `@` is needed, so a non-symmetric operator whose range is nearly
+    # 5-dimensional makes each new vector almost lie in the block already
+    n = 200
+    rng = np.random.default_rng(0)
+    u = np.linalg.qr(rng.standard_normal((n, 5)))[0]
+    w = np.linalg.qr(rng.standard_normal((n, 5)))[0]
+    op = u @ rng.standard_normal((5, 5)) @ w.T + 1e-6 * rng.standard_normal((n, n))
+    v0 = rng.standard_normal(n)
+    v0 /= np.linalg.norm(v0)
+
+    V = _krylov_block(n)
+    steps = ks._lanczos_block(op, v0, V)[3]
+    assert _orthonormality_error(V, steps) <= 1e-12
+
+    # the operator does exercise the guard: without the re-pass the basis decays
+    monkeypatch.setattr(ks, "DGKS_ETA", 0.0)
+    V = _krylov_block(n)
+    steps = ks._lanczos_block(op, v0, V)[3]
+    assert _orthonormality_error(V, steps) > 1e-9
+
+
+@pytest.mark.parametrize("sites, iterations", [(6, 73), (8, 104)])
+def test_lanczos_iteration_counts_are_pinned(sites, iterations):
+    # a faster solve must come from cheaper steps, never from fewer or looser
+    # ones: these are the counts with two Gram-Schmidt passes on every step
+    m = ks.ChainModel(sites=sites, jk=0.5)
+    g = ks.ground_state(ks.build_hamiltonian(m, ks.build_basis(m)), "lanczos")
+    assert g.iterations == iterations
+
+
 def test_ground_state_invariants():
     for model in (
         ks.ChainModel(sites=4, jk=0.5),
