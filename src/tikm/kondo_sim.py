@@ -34,8 +34,8 @@ from itertools import combinations
 from typing import Iterable
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sparse
-from scipy.linalg import eigh_tridiagonal
 
 from . import measures, qmat, werner
 from .errors import (
@@ -47,9 +47,9 @@ from .errors import (
     TikmError,
 )
 
-#: Largest chain the package will diagonalize (half-filled sector dimension
-#: stays around 2.2e5, affordable for a Lanczos basis kept orthogonal to
-#: working precision).
+#: Largest chain the package will diagonalize: the half-filled sector has
+#: 215 208 states, so the Lanczos block of KRYLOV_DIM + 1 vectors takes
+#: 31 x 1.7 MB, about 53 MB.
 MAX_SITES = 10
 
 #: Sector dimension at and below which the dense eigensolver is used.
@@ -59,13 +59,14 @@ DENSE_CUTOFF = 512
 DENSE_MAX = 6000
 
 #: Lanczos settings: the start vector's seed (fixed, so reruns are bit
-#: identical); a pass ends once its lowest Ritz value moves by less than
-#: RITZ_TOL or after MAX_KRYLOV steps; restarts end once ||H psi - E psi|| <=
-#: RESIDUAL_RTOL * max(1, |E|), and after MAX_RESTARTS passes the solve fails.
+#: identical); each cycle fills a block of KRYLOV_DIM + 1 vectors, and a
+#: restart keeps the KEEP_RITZ lowest Ritz vectors plus the residual
+#: direction; the solve ends once ||H psi - E psi|| <= RESIDUAL_RTOL *
+#: max(1, |E|), and after MAX_RESTARTS cycles it fails.
 LANCZOS_SEED = 7
-RITZ_TOL = 1e-12
 RESIDUAL_RTOL = 1e-12
-MAX_KRYLOV = 400
+KRYLOV_DIM = 30
+KEEP_RITZ = 6
 MAX_RESTARTS = 40
 
 #: DGKS re-pass threshold (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30,
@@ -348,95 +349,97 @@ def _dense_ground(h: sparse.csr_matrix) -> GroundStateResult:
     )
 
 
-def _lanczos_block(h, v0, V):
-    """One Lanczos pass of at most ``len(V)`` steps from v0, built in the rows of V.
+def _thick_restart_lanczos(h, V):
+    """Lowest eigenpair of ``h`` by thick-restart Lanczos from the unit vector V[0].
 
-    Each new vector is orthogonalized against the whole block by one classical
-    Gram-Schmidt pass, repeated once when that pass removed most of it
-    (DGKS_ETA guard).  Returns (theta0, theta1, ritz_vector, steps, exhausted);
-    the Krylov basis is left in ``V[:steps]``.
+    The basis lives in the rows of V, and each cycle extends it to
+    ``len(V) - 1`` vectors.  A step subtracts its known local terms, then
+    runs one classical Gram-Schmidt pass over the whole basis, and a second
+    one only when the first left less than DGKS_ETA of the norm measured after
+    the local subtraction.  A cycle ends early once the residual estimate
+    |beta * y_last| of the lowest Ritz pair meets the tolerance.  Convergence
+    is accepted on the explicit residual ||H psi - E psi|| <= RESIDUAL_RTOL *
+    max(1, |E|) alone; otherwise the cycle restarts from its KEEP_RITZ lowest
+    Ritz vectors plus the residual direction, so the projected matrix becomes
+    diagonal plus an arrow row (Wu & Simon, SIAM J. Matrix Anal. Appl. 22,
+    602 (2000)).  Stops after MAX_RESTARTS cycles or when the Krylov space is
+    exhausted (invariant).
+
+    Returns (ritz_values, psi, iterations, rows, residual): the final cycle's
+    Ritz values in ascending order, the unit Ritz vector of the lowest, the
+    number of matrix-vector steps, the number of basis rows of the final
+    cycle (orthonormal, left in ``V[:rows]``) and the explicit residual.
     """
-    m = V.shape[0]
-    alphas = np.empty(m)
-    betas = np.empty(m)
-    V[0] = v0
-    k_used = 0
-    theta_prev = np.inf
-    exhausted = False
-    for k in range(m):
-        w = h @ V[k]
-        alphas[k] = float(V[k] @ w)
-        w -= alphas[k] * V[k]
-        if k > 0:
-            w -= betas[k - 1] * V[k - 1]
-        before = float(np.linalg.norm(w))
-        w -= V[: k + 1].T @ (V[: k + 1] @ w)
-        beta = float(np.linalg.norm(w))
-        if beta < DGKS_ETA * before:
-            # the pass cancelled most of w, so what is left carries its
-            # round-off relative to the old norm: project once more
-            w -= V[: k + 1].T @ (V[: k + 1] @ w)
+    m = V.shape[0] - 1
+    T = np.zeros((m, m))
+    k = iterations = 0
+    for cycle in range(MAX_RESTARTS):
+        exhausted = False
+        n = m
+        for j in range(k, m):
+            w = h @ V[j]
+            iterations += 1
+            alpha = T[j, j] = float(V[j] @ w)
+            w -= alpha * V[j]
+            if j == k and k > 0:
+                w -= T[:k, k] @ V[:k]
+            elif j > 0:
+                w -= T[j - 1, j] * V[j - 1]
+            before = float(np.linalg.norm(w))
+            w -= (V[: j + 1] @ w) @ V[: j + 1]
             beta = float(np.linalg.norm(w))
-        k_used = k + 1
-        if beta < 1e-13 * max(1.0, abs(alphas[k])):
-            exhausted = True
-            break
-        if k + 1 < m:
-            V[k + 1] = w / beta
-            betas[k] = beta
-        if k >= 4 and k % 5 == 0:
-            theta = eigh_tridiagonal(alphas[: k + 1], betas[:k], eigvals_only=True, select="i", select_range=(0, 0))[0]
-            if abs(theta - theta_prev) < RITZ_TOL:
+            if beta < DGKS_ETA * before:
+                # the pass cancelled most of w, so what is left carries its
+                # round-off relative to the old norm: project once more
+                w -= (V[: j + 1] @ w) @ V[: j + 1]
+                beta = float(np.linalg.norm(w))
+            if beta < 1e-13 * max(1.0, abs(alpha)):
+                exhausted = True
+                n = j + 1
                 break
-            theta_prev = theta
-    n = k_used
-    if n == 1:
-        theta0, theta1 = alphas[0], np.inf
-        y0 = np.array([1.0])
-    else:
-        upper = min(1, n - 1)
-        evals, evecs = eigh_tridiagonal(alphas[:n], betas[: n - 1], select="i", select_range=(0, upper))
-        theta0 = float(evals[0])
-        theta1 = float(evals[1]) if len(evals) > 1 else np.inf
-        y0 = evecs[:, 0]
-    ritz = V[:n].T @ y0
-    ritz /= np.linalg.norm(ritz)
-    return theta0, theta1, ritz, n, exhausted
+            V[j + 1] = w / beta
+            if j + 1 < m:
+                T[j, j + 1] = T[j + 1, j] = beta
+            # every third step: the small eigh costs a tenth of a step at L=8
+            if (j + 1) % 3 == 0:
+                theta, y = scipy.linalg.eigh(T[: j + 1, : j + 1], subset_by_index=(0, 0), check_finite=False)
+                if abs(beta * y[j, 0]) <= RESIDUAL_RTOL * max(1.0, abs(theta[0])):
+                    n = j + 1
+                    break
+        del w  # before the restart's (KEEP_RITZ, dim) temporary
+        theta, Y = np.linalg.eigh(T[:n, :n])
+        psi = Y[:, 0] @ V[:n]
+        psi /= np.linalg.norm(psi)
+        residual = float(np.linalg.norm(h @ psi - theta[0] * psi))
+        if exhausted or residual <= RESIDUAL_RTOL * max(1.0, abs(theta[0])) or cycle == MAX_RESTARTS - 1:
+            return theta, psi, iterations, n, residual
+        # the lowest Ritz vectors and the residual direction V[n] span the next
+        # cycle's start; H couples V[k] to each kept vector by beta * y_last
+        k = min(KEEP_RITZ, n - 1)
+        V[:k] = Y[:, :k].T @ V[:n]
+        V[k] = V[n]
+        T = np.zeros((m, m))
+        T[:k, :k] = np.diag(theta[:k])
+        T[:k, k] = T[k, :k] = beta * Y[n - 1, :k]
 
 
 def _lanczos_ground(h):
     dim = h.shape[0]
-    rng = np.random.default_rng(LANCZOS_SEED)
-    v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    # one block for every pass: restarts reuse pages the first pass touched
-    V = np.empty((min(MAX_KRYLOV, dim), dim))
-    iterations = 0
-    theta0 = theta1 = np.inf
-    residual = np.inf
-    for restart in range(MAX_RESTARTS):
-        theta0, second, v, steps, exhausted = _lanczos_block(h, v, V)
-        if restart == 0:
-            # later passes start from the Ritz vector, whose Krylov space barely
-            # reaches the other eigenvectors, so only this second Ritz value bounds
-            # the first excited level (from above, by interlacing)
-            theta1 = second
-        iterations += steps
-        residual = float(np.linalg.norm(h @ v - theta0 * v))
-        scale = max(1.0, abs(theta0))
-        if residual <= RESIDUAL_RTOL * scale or exhausted:
-            break
-    scale = max(1.0, abs(theta0))
-    if residual > 1e-8 * scale:
+    V = np.empty((min(KRYLOV_DIM, dim) + 1, dim))
+    V[0] = np.random.default_rng(LANCZOS_SEED).standard_normal(dim)
+    V[0] /= np.linalg.norm(V[0])
+    theta, psi, iterations, _, residual = _thick_restart_lanczos(h, V)
+    energy = float(theta[0])
+    if residual > 1e-8 * max(1.0, abs(energy)):
         raise NotConvergedError(
             f"Lanczos stalled at residual {residual:.3e} after {iterations} iterations",
             iterations=iterations,
             residual=residual,
         )
-    gap = theta1 - theta0
+    gap = float(theta[1]) - energy if len(theta) > 1 else float("inf")
     return GroundStateResult(
-        energy=theta0,
-        amplitudes=v,
+        energy=energy,
+        amplitudes=psi,
         iterations=iterations,
         residual_norm=residual,
         degenerate=gap < DEGENERACY_ATOL,
@@ -449,19 +452,19 @@ def ground_state(h: sparse.csr_matrix, method: str = "auto") -> GroundStateResul
     """Lowest eigenpair of a sector Hamiltonian.
 
     ``method`` is "auto" (dense at or below DENSE_CUTOFF, else Lanczos),
-    "dense", or "lanczos".  The Lanczos path restarts passes from a
-    fixed-seed start vector, all in one preallocated Krylov block kept
+    "dense", or "lanczos".  The Lanczos path runs thick-restart Lanczos from a
+    fixed-seed start vector in one block of KRYLOV_DIM + 1 vectors kept
     orthogonal to working precision (one Gram-Schmidt pass per step against
-    the whole block, a second where the DGKS test asks for it), until the
-    explicit residual ||H psi - E psi|| drops to
-    ``RESIDUAL_RTOL * max(1, |E|)``, and raises
-    NotConvergedError if it cannot reach 1e-8 * max(1, |E|) within
-    MAX_RESTARTS passes.  ``gap`` is E_1 - E_0 of the dense spectrum, or on
-    the Lanczos path the second Ritz value of the first pass (the one started
-    from the random vector; it bounds E_1 from above) minus the final energy.
-    A gap below DEGENERACY_ATOL marks the result degenerate.  A single start
-    vector does not see an exactly degenerate partner within the sector, so
-    the Lanczos path can miss such a degeneracy.
+    the whole block, a second where the DGKS test asks for it); each restart
+    keeps the KEEP_RITZ lowest Ritz vectors.  It stops once the explicit
+    residual ||H psi - E psi|| drops to ``RESIDUAL_RTOL * max(1, |E|)`` and
+    raises NotConvergedError if it cannot reach 1e-8 * max(1, |E|) within
+    MAX_RESTARTS cycles.  ``gap`` is E_1 - E_0 of the dense spectrum, or on
+    the Lanczos path the final cycle's second Ritz value (it bounds E_1 from
+    above) minus the energy.  A gap below DEGENERACY_ATOL marks the result
+    degenerate.  A single start vector does not see an exactly degenerate
+    partner within the sector, so the Lanczos path can miss such a
+    degeneracy.
     """
     dim = h.shape[0]
     if dim == 0:

@@ -325,14 +325,18 @@ def test_lanczos_gap_bounds_the_true_gap(sites):
         h = ks.build_hamiltonian(m, ks.build_basis(m))
         w = np.sort(eigsh(h, k=3, which="SA", tol=0, v0=rng.standard_normal(h.shape[0]))[0])
         g = ks.ground_state(h, method="lanczos")
-        # the first pass's second Ritz value lies above E_1, so the gap is never
-        # underestimated beyond round-off
-        assert -1e-12 <= g.gap - (w[1] - w[0]) <= 1e-3, (jk, idirect, n)
+        # the final cycle's second Ritz value lies above E_1, so the gap is never
+        # underestimated beyond round-off; the kept Ritz vectors converge too
+        assert -1e-12 <= g.gap - (w[1] - w[0]) <= 1e-8, (jk, idirect, n)
         assert g.degenerate == (w[1] - w[0] < ks.DEGENERACY_ATOL)
 
 
-def _krylov_block(dim):
-    return np.empty((min(ks.MAX_KRYLOV, dim), dim))
+def _solve_in_block(op, v0):
+    """Run the thick-restart routine from v0; return the block and its result."""
+    dim = v0.shape[0]
+    V = np.empty((min(ks.KRYLOV_DIM, dim) + 1, dim))
+    V[0] = v0 / np.linalg.norm(v0)
+    return V, ks._thick_restart_lanczos(op, V)
 
 
 def _orthonormality_error(V, n):
@@ -352,42 +356,145 @@ def _orthonormality_error(V, n):
 )
 def test_lanczos_block_basis_is_orthonormal(model, sz):
     h = ks.build_hamiltonian(model, ks.build_basis(model, sz))
-    v0 = np.random.default_rng(1).standard_normal(h.shape[0])
-    V = _krylov_block(h.shape[0])
-    n = ks._lanczos_block(h, v0 / np.linalg.norm(v0), V)[3]
-    assert n > 1
-    assert _orthonormality_error(V, n) <= 1e-12
+    V, (_, _, iterations, rows, _) = _solve_in_block(h, np.random.default_rng(1).standard_normal(h.shape[0]))
+    assert rows > 1
+    assert _orthonormality_error(V, rows) <= 1e-12
+    if iterations > rows:
+        # the cycle restarted: its first KEEP_RITZ rows are the kept Ritz
+        # vectors, which H maps onto themselves and the residual direction
+        # V[k] alone (diagonal plus an arrow row)
+        k = ks.KEEP_RITZ
+        X = V[:k]
+        HX = (h @ X.T).T
+        M = V[:rows] @ HX.T
+        scale = max(1.0, np.abs(M).max())
+        assert np.abs(M[:k] - np.diag(np.diag(M[:k]))).max() <= 1e-12 * scale
+        assert np.abs(M[k + 1 :]).max() <= 1e-12 * scale
+        arrow = HX - np.diag(M[:k])[:, None] * X - M[k][:, None] * V[k]
+        assert np.linalg.norm(arrow, axis=1).max() <= 1e-12 * scale
 
 
 def test_lanczos_block_repasses_when_gram_schmidt_cancels(monkeypatch):
     # only `@` is needed, so a non-symmetric operator whose range is nearly
-    # 5-dimensional makes each new vector almost lie in the block already
+    # 5-dimensional makes each new vector almost lie in the block already;
+    # with no tolerance to meet, one cycle fills the whole block
+    monkeypatch.setattr(ks, "RESIDUAL_RTOL", 0.0)
+    monkeypatch.setattr(ks, "MAX_RESTARTS", 1)
     n = 200
     rng = np.random.default_rng(0)
     u = np.linalg.qr(rng.standard_normal((n, 5)))[0]
     w = np.linalg.qr(rng.standard_normal((n, 5)))[0]
     op = u @ rng.standard_normal((5, 5)) @ w.T + 1e-6 * rng.standard_normal((n, n))
     v0 = rng.standard_normal(n)
-    v0 /= np.linalg.norm(v0)
 
-    V = _krylov_block(n)
-    steps = ks._lanczos_block(op, v0, V)[3]
-    assert _orthonormality_error(V, steps) <= 1e-12
+    V, (_, _, _, rows, _) = _solve_in_block(op, v0)
+    assert rows == ks.KRYLOV_DIM
+    assert _orthonormality_error(V, rows) <= 1e-12
 
     # the operator does exercise the guard: without the re-pass the basis decays
     monkeypatch.setattr(ks, "DGKS_ETA", 0.0)
-    V = _krylov_block(n)
-    steps = ks._lanczos_block(op, v0, V)[3]
-    assert _orthonormality_error(V, steps) > 1e-9
+    V, (_, _, _, rows, _) = _solve_in_block(op, v0)
+    assert _orthonormality_error(V, rows) > 1e-9
 
 
-@pytest.mark.parametrize("sites, iterations", [(6, 73), (8, 104)])
+@pytest.mark.parametrize("sites, iterations", [(6, 69), (8, 93)])
 def test_lanczos_iteration_counts_are_pinned(sites, iterations):
     # a faster solve must come from cheaper steps, never from fewer or looser
-    # ones: these are the counts with two Gram-Schmidt passes on every step
+    # ones: these are the thick-restart counts, and the residual still meets
+    # RESIDUAL_RTOL
     m = ks.ChainModel(sites=sites, jk=0.5)
     g = ks.ground_state(ks.build_hamiltonian(m, ks.build_basis(m)), "lanczos")
     assert g.iterations == iterations
+    assert g.residual_norm <= ks.RESIDUAL_RTOL * max(1.0, abs(g.energy))
+
+
+def test_lanczos_block_memory_is_bounded():
+    import tracemalloc
+
+    m = ks.ChainModel(sites=8, jk=0.5)
+    h = ks.build_hamiltonian(m, ks.build_basis(m))
+    dim = h.shape[0]
+    tracemalloc.start()
+    try:
+        ks.ground_state(h, "lanczos")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (ks.KRYLOV_DIM + ks.KEEP_RITZ + 4) * dim * 8
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        ks.ChainModel(sites=5, jk=0.5, nup=3, ndn=3),
+        ks.ChainModel(sites=5, jk=2.0, idirect=-0.5, nup=3, ndn=3),
+        ks.ChainModel(sites=6, jk=0.5, idirect=0.7),
+        ks.ChainModel(sites=6, jk=2.0, idirect=-0.5),
+    ],
+)
+def test_lanczos_restarts_match_dense(monkeypatch, model):
+    # an 8-vector block keeps 6 Ritz vectors and so adds 2 new ones a cycle
+    monkeypatch.setattr(ks, "KRYLOV_DIM", 8)
+    h = ks.build_hamiltonian(model, ks.build_basis(model))
+    dense = ks.ground_state(h, "dense")
+    g = ks.ground_state(h, "lanczos")
+    assert g.iterations >= 8 + 4 * (8 - ks.KEEP_RITZ)  # at least 5 cycles
+    assert abs(g.energy - dense.energy) <= 1e-10
+    assert g.gap >= dense.gap - 1e-12
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        ks.ChainModel(sites=2, jk=0.5),
+        ks.ChainModel(sites=2, jk=1.5, idirect=0.3),
+        ks.ChainModel(sites=3, jk=0.7, nup=2, ndn=1),
+        ks.ChainModel(sites=3, jk=1.0, idirect=-0.4),
+    ],
+)
+def test_lanczos_exhausts_sectors_smaller_than_the_block(model):
+    basis = ks.build_basis(model)
+    h = ks.build_hamiltonian(model, basis)
+    assert basis.dim < ks.KRYLOV_DIM
+    dense = ks.ground_state(h, "dense")
+    g = ks.ground_state(h, "lanczos")
+    assert abs(g.energy - dense.energy) <= 1e-10
+    assert g.iterations <= basis.dim
+    assert g.degenerate == dense.degenerate
+    if not dense.degenerate:
+        fs_d = measures.spin_correlation(ks.impurity_rdm(dense, basis))
+        fs_l = measures.spin_correlation(ks.impurity_rdm(g, basis))
+        assert abs(fs_d - fs_l) <= 1e-8
+
+
+@st.composite
+def _small_models(draw):
+    L = draw(st.integers(1, 6))
+    xa = draw(st.integers(0, L - 1))
+    return ks.ChainModel(
+        sites=L,
+        jk=draw(st.floats(0.0, 3.0)),
+        idirect=draw(st.floats(-2.0, 2.0)),
+        xa=xa,
+        xb=draw(st.integers(xa, L - 1)),
+        nup=draw(st.integers(0, L)),
+        ndn=draw(st.integers(0, L)),
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_small_models())
+def test_forced_lanczos_matches_dense_on_random_models(model):
+    basis = ks.build_basis(model)
+    h = ks.build_hamiltonian(model, basis)
+    dense = ks.ground_state(h, "dense")
+    if dense.degenerate:
+        return  # a single start vector cannot resolve an in-sector partner
+    g = ks.ground_state(h, "lanczos")
+    assert abs(g.energy - dense.energy) <= 1e-10
+    fs_d = measures.spin_correlation(ks.impurity_rdm(dense, basis))
+    fs_l = measures.spin_correlation(ks.impurity_rdm(g, basis))
+    assert abs(fs_d - fs_l) <= 1e-8
 
 
 def test_ground_state_invariants():
@@ -412,7 +519,7 @@ def test_eq2_only_ground_energy():
 def test_lanczos_not_converged_reports_diagnostics(monkeypatch):
     m = ks.ChainModel(sites=4, jk=0.5)
     h = ks.build_hamiltonian(m, ks.build_basis(m))
-    monkeypatch.setattr(ks, "MAX_KRYLOV", 3)
+    monkeypatch.setattr(ks, "KRYLOV_DIM", 3)
     monkeypatch.setattr(ks, "MAX_RESTARTS", 1)
     with pytest.raises(NotConvergedError) as info:
         ks.ground_state(h, method="lanczos")
