@@ -27,8 +27,6 @@ Encoding conventions (fixed so tests can be bit-exact):
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Iterable
@@ -541,6 +539,8 @@ def model_at(model: ChainModel, param: str, value: float) -> ChainModel:
     if param in ("jk", "idirect"):
         return replace(model, **{param: float(value)})
     if param == "separation":
+        if not math.isfinite(value):
+            raise ValueError(f"separation must be finite, got {value!r}")
         d = int(round(value))
         if abs(value - d) > 1e-9 or d < 0:
             raise ValueError(f"separation must be a nonnegative integer, got {value!r}")
@@ -577,23 +577,19 @@ def sweep(
 ) -> list[SweepPoint]:
     """Analyze the ground state along a parameter grid.
 
-    Each grid point is an independent pure computation; points are evaluated
-    (possibly concurrently, capped by ``max_workers``) and returned in input
-    order.  Points whose ground state is degenerate within its sector, or
-    that fail for any other reason, come back with ``error`` set instead of
-    aborting the sweep.  A ground multiplet that merely extends across S^z
+    Points are evaluated serially, in grid order, on the calling thread.  A
+    thread pool made every sweep slower: each point is a short solve, so the
+    threads contended for the interpreter lock and the two-thread BLAS.
+    ``max_workers`` is accepted for existing callers and ignored.  Points
+    whose ground state is degenerate within its sector, or that fail for any
+    other reason, come back with ``error`` set instead of aborting the
+    sweep.  A ground multiplet that merely extends across S^z
     sectors (e.g. a ferromagnetically locked triplet, where every member
     shares f_s = +1/4) is reported with ``degenerate=True``.
     """
     if param not in _SWEEP_PARAMS:
         raise ValueError(f"param must be one of {_SWEEP_PARAMS}, got {param!r}")
-    values = [float(v) for v in grid]
-    if max_workers is None:
-        max_workers = os.cpu_count() or 1
-    if max_workers <= 1 or len(values) <= 1:
-        return [_analyze_point(model, param, v) for v in values]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(lambda v: _analyze_point(model, param, v), values))
+    return [_analyze_point(model, param, float(v)) for v in grid]
 
 
 def point_correlation(model: ChainModel, param: str, value: float) -> float:
@@ -640,10 +636,12 @@ def find_crossing(
     the bracket, so no value is solved twice.  A crossing must be continuous: if f_s changes across the
     final bracket by more than JUMP_FACTOR (100) times the pre-grid's secant
     slope times the bracket width, f_s jumps over the target there and
-    NonMonotoneError is raised.  ``target_fs`` must be finite.  Endpoint
-    order does not matter.
+    NonMonotoneError is raised.  ``lo``, ``hi`` and ``target_fs`` must be
+    finite.  Endpoint order does not matter.
     """
     lo, hi = float(lo), float(hi)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"lo and hi must be finite, got [{lo!r}, {hi!r}]")
     if lo > hi:
         lo, hi = hi, lo
     if lo == hi:

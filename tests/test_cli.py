@@ -297,6 +297,16 @@ def test_critical_rejects_non_finite_target(capsys):
     assert code == 2 and "finite" in err and out == ""
 
 
+@pytest.mark.parametrize("bounds", [("0.5", "inf"), ("0.5", "nan"), ("-inf", "2")])
+def test_critical_rejects_non_finite_bounds(capsys, monkeypatch, bounds):
+    calls = []
+    monkeypatch.setattr(kondo_sim, "point_correlation", lambda model, param, value: calls.append(value) or 0.0)
+    code, out, err = run(capsys, "critical", "--sites", "4", "--param", "jk", f"--min={bounds[0]}",
+                         f"--max={bounds[1]}", "--format", "json")
+    assert code == 2 and "must be finite" in err and out == ""
+    assert calls == []  # refused before any solve
+
+
 def test_critical_non_monotone_exit(capsys, monkeypatch):
     def bumpy(*args, **kwargs):
         raise NonMonotoneError("not monotone", points=[(0.0, 0.1, 1.0, -0.1)])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -646,13 +647,28 @@ def test_sweep_separation_parameter():
     assert abs(points[0].f_s - points[2].f_s) > 1e-6
 
 
-def test_sweep_parallel_matches_serial():
-    m = ks.ChainModel(sites=2)
+def test_sweep_runs_points_in_order_on_the_calling_thread(monkeypatch):
+    calls = []
+
+    def recording(model, param, value):
+        calls.append((threading.get_ident(), value))
+        return ks.SweepPoint(value=value)
+
+    monkeypatch.setattr(ks, "_analyze_point", recording)
     grid = [0.5, 1.0, 1.5, 2.0]
-    serial = ks.sweep(m, "jk", grid, max_workers=1)
-    parallel = ks.sweep(m, "jk", grid, max_workers=4)
-    assert [p.f_s for p in serial] == [p.f_s for p in parallel]
-    assert [p.energy for p in serial] == [p.energy for p in parallel]
+    for workers in (None, 1, 4):
+        calls.clear()
+        points = ks.sweep(ks.ChainModel(sites=2), "jk", grid, max_workers=workers)
+        assert [p.value for p in points] == grid
+        assert calls == [(threading.get_ident(), v) for v in grid]
+
+
+def test_sweep_records_non_finite_separation_as_errors():
+    points = ks.sweep(ks.ChainModel(sites=4), "separation", [math.inf, math.nan])
+    assert len(points) == 2
+    assert all(p.error is not None and "finite" in p.error and p.f_s is None for p in points)
+    with pytest.raises(ValueError, match="finite"):
+        ks.point_correlation(ks.ChainModel(sites=4), "separation", math.inf)
 
 
 def test_sweep_rejects_unknown_parameter():
@@ -783,6 +799,14 @@ def test_find_crossing_rejects_non_finite_target(monkeypatch):
     for target in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             ks.find_crossing(ks.ChainModel(sites=2), "jk", 1.0, 2.0, target_fs=target, tol=1e-4)
+    assert calls == []  # refused before any solve
+
+
+def test_find_crossing_rejects_non_finite_endpoints(monkeypatch):
+    calls = _count_solves(monkeypatch, lambda value: 0.0)
+    for lo, hi in ((0.5, math.inf), (0.5, math.nan), (-math.inf, 2.0), (math.nan, 2.0)):
+        with pytest.raises(ValueError, match="must be finite"):
+            ks.find_crossing(ks.ChainModel(sites=2), "jk", lo, hi, tol=1e-4)
     assert calls == []  # refused before any solve
 
 
