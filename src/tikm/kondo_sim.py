@@ -32,7 +32,6 @@ from itertools import combinations
 from typing import Iterable
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sparse
 
 from . import measures, qmat, werner
@@ -83,8 +82,7 @@ SINGLET_MARGIN = 1e-9
 #: and takes at most 2 * MAX_BISECTIONS steps after its pre-grid.
 MAX_BISECTIONS = 64
 
-#: ``find_crossing``'s pre-grid holds the bracket ends and the midpoints of its
-#: first PRE_GRID_LEVELS bisection levels, 2**PRE_GRID_LEVELS + 1 points.
+#: ``find_crossing``'s pre-grid: 2**PRE_GRID_LEVELS + 1 evenly spaced points, ends included.
 PRE_GRID_LEVELS = 3
 
 #: A final bracket across which f_s changes by more than this many times the
@@ -325,28 +323,6 @@ class Analysis:
     f_s: float
 
 
-def _dense_ground(h: sparse.csr_matrix) -> GroundStateResult:
-    if h.shape[0] > DENSE_MAX:
-        raise ValueError(
-            f"dense solve refused for dimension {h.shape[0]} (> {DENSE_MAX}); use the Lanczos path"
-        )
-    spec = qmat.hermitian_eig(h.toarray())
-    energy = float(spec.values[0])
-    psi = np.ascontiguousarray(spec.vectors[:, 0])
-    psi /= np.linalg.norm(psi)
-    gap = float(spec.values[1] - spec.values[0]) if len(spec.values) > 1 else float("inf")
-    residual = float(np.linalg.norm(h @ psi - energy * psi))
-    return GroundStateResult(
-        energy=energy,
-        amplitudes=psi,
-        iterations=0,
-        residual_norm=residual,
-        degenerate=gap < DEGENERACY_ATOL,
-        gap=gap,
-        method="dense",
-    )
-
-
 def _thick_restart_lanczos(h, V):
     """Lowest eigenpair of ``h`` by thick-restart Lanczos from the unit vector V[0].
 
@@ -355,13 +331,13 @@ def _thick_restart_lanczos(h, V):
     runs one classical Gram-Schmidt pass over the whole basis, and a second
     one only when the first left less than DGKS_ETA of the norm measured after
     the local subtraction.  A cycle ends early once the residual estimate
-    |beta * y_last| of the lowest Ritz pair meets the tolerance.  Convergence
-    is accepted on the explicit residual ||H psi - E psi|| <= RESIDUAL_RTOL *
-    max(1, |E|) alone; otherwise the cycle restarts from its KEEP_RITZ lowest
-    Ritz vectors plus the residual direction, so the projected matrix becomes
-    diagonal plus an arrow row (Wu & Simon, SIAM J. Matrix Anal. Appl. 22,
-    602 (2000)).  Stops after MAX_RESTARTS cycles or when the Krylov space is
-    exhausted (invariant).
+    |beta * y_last| of the lowest Ritz pair falls below the tolerance (never,
+    for a zero tolerance).  Convergence is accepted on the explicit residual
+    ||H psi - E psi|| <= RESIDUAL_RTOL * max(1, |E|) alone; otherwise the
+    cycle restarts from its KEEP_RITZ lowest Ritz vectors plus the residual
+    direction, so the projected matrix becomes diagonal plus an arrow row
+    (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 602 (2000)).  Stops after
+    MAX_RESTARTS cycles or when the Krylov space is exhausted (invariant).
 
     Returns (ritz_values, psi, iterations, rows, residual): the final cycle's
     Ritz values in ascending order, the unit Ritz vector of the lowest, the
@@ -398,10 +374,10 @@ def _thick_restart_lanczos(h, V):
             V[j + 1] = w / beta
             if j + 1 < m:
                 T[j, j + 1] = T[j + 1, j] = beta
-            # every third step: the small eigh costs a tenth of a step at L=8
+            # every third step: the small eigh costs at most a seventh of a step at L=8
             if (j + 1) % 3 == 0:
-                theta, y = scipy.linalg.eigh(T[: j + 1, : j + 1], subset_by_index=(0, 0), check_finite=False)
-                if abs(beta * y[j, 0]) <= RESIDUAL_RTOL * max(1.0, abs(theta[0])):
+                theta, y = np.linalg.eigh(T[: j + 1, : j + 1])
+                if abs(beta * y[j, 0]) < RESIDUAL_RTOL * max(1.0, abs(theta[0])):
                     n = j + 1
                     break
         del w  # before the restart's (KEEP_RITZ, dim) temporary
@@ -421,48 +397,19 @@ def _thick_restart_lanczos(h, V):
         T[:k, k] = T[k, :k] = beta * Y[n - 1, :k]
 
 
-def _lanczos_ground(h):
-    dim = h.shape[0]
-    V = np.empty((min(KRYLOV_DIM, dim) + 1, dim))
-    V[0] = np.random.default_rng(LANCZOS_SEED).standard_normal(dim)
-    V[0] /= np.linalg.norm(V[0])
-    theta, psi, iterations, _, residual = _thick_restart_lanczos(h, V)
-    energy = float(theta[0])
-    if residual > 1e-8 * max(1.0, abs(energy)):
-        raise NotConvergedError(
-            f"Lanczos stalled at residual {residual:.3e} after {iterations} iterations",
-            iterations=iterations,
-            residual=residual,
-        )
-    gap = float(theta[1]) - energy if len(theta) > 1 else float("inf")
-    return GroundStateResult(
-        energy=energy,
-        amplitudes=psi,
-        iterations=iterations,
-        residual_norm=residual,
-        degenerate=gap < DEGENERACY_ATOL,
-        gap=gap,
-        method="lanczos",
-    )
-
-
 def ground_state(h: sparse.csr_matrix, method: str = "auto") -> GroundStateResult:
     """Lowest eigenpair of a sector Hamiltonian.
 
     ``method`` is "auto" (dense at or below DENSE_CUTOFF, else Lanczos),
-    "dense", or "lanczos".  The Lanczos path runs thick-restart Lanczos from a
-    fixed-seed start vector in one block of KRYLOV_DIM + 1 vectors kept
-    orthogonal to working precision (one Gram-Schmidt pass per step against
-    the whole block, a second where the DGKS test asks for it); each restart
-    keeps the KEEP_RITZ lowest Ritz vectors.  It stops once the explicit
-    residual ||H psi - E psi|| drops to ``RESIDUAL_RTOL * max(1, |E|)`` and
-    raises NotConvergedError if it cannot reach 1e-8 * max(1, |E|) within
-    MAX_RESTARTS cycles.  ``gap`` is E_1 - E_0 of the dense spectrum, or on
-    the Lanczos path the final cycle's second Ritz value (it bounds E_1 from
-    above) minus the energy.  A gap below DEGENERACY_ATOL marks the result
-    degenerate.  A single start vector does not see an exactly degenerate
-    partner within the sector, so the Lanczos path can miss such a
-    degeneracy.
+    "dense" (at most DENSE_MAX states), or "lanczos" (thick-restart Lanczos
+    from a fixed-seed start vector in one block of KRYLOV_DIM + 1 vectors).
+    Both paths leave through one exit: it raises NotConvergedError unless the
+    explicit residual ||H psi - E psi|| is at most 1e-8 * max(1, |E|), and
+    ``gap`` is the second eigenvalue (on the Lanczos path the final cycle's
+    second Ritz value, an upper bound on E_1) minus the energy; a gap below
+    DEGENERACY_ATOL marks the result degenerate.  A single start vector does
+    not see an exactly degenerate partner within the sector, so the Lanczos
+    path can miss such a degeneracy.
     """
     dim = h.shape[0]
     if dim == 0:
@@ -470,8 +417,36 @@ def ground_state(h: sparse.csr_matrix, method: str = "auto") -> GroundStateResul
     if method not in ("auto", "dense", "lanczos"):
         raise ValueError(f"unknown method {method!r}")
     if method == "dense" or (method == "auto" and dim <= DENSE_CUTOFF):
-        return _dense_ground(h)
-    return _lanczos_ground(h)
+        if dim > DENSE_MAX:
+            raise ValueError(f"dense solve refused for dimension {dim} (> {DENSE_MAX}); use the Lanczos path")
+        method, iterations = "dense", 0
+        values, vectors = qmat.hermitian_eig(h.toarray())
+        psi = np.ascontiguousarray(vectors[:, 0])
+        psi /= np.linalg.norm(psi)
+        residual = float(np.linalg.norm(h @ psi - float(values[0]) * psi))
+    else:
+        method = "lanczos"
+        V = np.empty((min(KRYLOV_DIM, dim) + 1, dim))
+        V[0] = np.random.default_rng(LANCZOS_SEED).standard_normal(dim)
+        V[0] /= np.linalg.norm(V[0])
+        values, psi, iterations, _, residual = _thick_restart_lanczos(h, V)
+    energy = float(values[0])
+    if residual > 1e-8 * max(1.0, abs(energy)):
+        raise NotConvergedError(
+            f"{method.capitalize()} stalled at residual {residual:.3e} after {iterations} iterations",
+            iterations=iterations,
+            residual=residual,
+        )
+    gap = float(values[1]) - energy if len(values) > 1 else math.inf
+    return GroundStateResult(
+        energy=energy,
+        amplitudes=psi,
+        iterations=iterations,
+        residual_norm=residual,
+        degenerate=gap < DEGENERACY_ATOL,
+        gap=gap,
+        method=method,
+    )
 
 
 def singlet_check(model: ChainModel, energy: float, method: str = "auto") -> bool:
@@ -597,15 +572,6 @@ def point_correlation(model: ChainModel, param: str, value: float) -> float:
     return model_at(model, param, value).analyze().f_s
 
 
-def _bisection_grid(lo: float, hi: float) -> list[float]:
-    """``lo``, ``hi`` and the midpoints of the first PRE_GRID_LEVELS bisection levels, in order."""
-    xs = [lo, hi]
-    for _ in range(PRE_GRID_LEVELS):
-        mids = [0.5 * (a + b) for a, b in zip(xs, xs[1:])]
-        xs = [x for pair in zip(xs, mids) for x in pair] + [hi]
-    return xs
-
-
 def find_crossing(
     model: ChainModel,
     param: str,
@@ -616,9 +582,10 @@ def find_crossing(
 ) -> float:
     """Find the parameter value where f_s crosses ``target_fs``.
 
-    Monotonicity of f_s is checked on a coarse pre-grid (NonMonotoneError
-    lists the offending points) and the endpoints must straddle the target
-    (NoBracketError otherwise).  The search then narrows the pre-grid cell
+    Monotonicity of f_s is checked on an evenly spaced pre-grid of
+    2**PRE_GRID_LEVELS + 1 points (NonMonotoneError lists the offending
+    ones) and the endpoints must straddle the target (NoBracketError
+    otherwise).  The search then narrows the pre-grid cell
     whose ends straddle the target with a safeguarded secant method (Brent,
     *Algorithms for Minimization without Derivatives*, 1973, ch. 4).  Each
     step solves the secant estimate through the two most recently solved
@@ -631,9 +598,10 @@ def find_crossing(
     returned as is; otherwise the search stops once the bracket is narrower
     than ``tol`` and returns its midpoint, which is within tol/2 of the
     crossing because the bracket always contains it.  ``tol`` must be
-    positive, reachable within MAX_BISECTIONS halvings and above twice the
-    float spacing at the bracket ends; then every step lands strictly inside
-    the bracket, so no value is solved twice.  A crossing must be continuous: if f_s changes across the
+    finite, positive, reachable within MAX_BISECTIONS halvings and above
+    twice the float spacing at the bracket ends; then every step lands
+    strictly inside the bracket, so no value is solved twice.  A crossing
+    must be continuous: if f_s changes across the
     final bracket by more than JUMP_FACTOR (100) times the pre-grid's secant
     slope times the bracket width, f_s jumps over the target there and
     NonMonotoneError is raised.  ``lo``, ``hi`` and ``target_fs`` must be
@@ -646,15 +614,15 @@ def find_crossing(
         lo, hi = hi, lo
     if lo == hi:
         raise NoBracketError(f"empty interval [{lo}, {hi}]")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     if (hi - lo) / tol > 2.0**MAX_BISECTIONS:
         raise ValueError(f"tol {tol!r} needs more than {MAX_BISECTIONS} bisections of [{lo}, {hi}]")
     if tol <= 2.0 * np.spacing(max(abs(lo), abs(hi))):
         raise ValueError(f"tol {tol!r} is below the float resolution of [{lo}, {hi}]")
     if not math.isfinite(target_fs):
         raise ValueError(f"target_fs must be finite, got {target_fs!r}")
-    xs = _bisection_grid(lo, hi)
+    xs = np.linspace(lo, hi, 2**PRE_GRID_LEVELS + 1).tolist()
     fs = [point_correlation(model, param, x) for x in xs]
     direction = np.sign(fs[-1] - fs[0])
     offending = [

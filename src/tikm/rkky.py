@@ -116,7 +116,10 @@ class CouplingResult:
 
 
 def coupling(p: RkkyParams) -> CouplingResult:
-    """Evaluate I(R), its sign class (AFM for I > 0, FM for I < 0) and I/T_K."""
+    """Evaluate I(R), its sign class (AFM for I > 0, FM for I < 0) and I/T_K.
+
+    Raises DomainError when T_K underflows to 0 or I or I/T_K overflows.
+    """
     x = 2.0 * p.fermi_wavevector * p.distance
     fval = f3(x) if p.dimension == 3 else f1(x)
     value = 4.0 * math.pi * p.j**2 * p.fermi_energy * fval
@@ -127,4 +130,9 @@ def coupling(p: RkkyParams) -> CouplingResult:
     else:
         sign = "zero"
     tk = kondo_temperature(p.bandwidth, p.g)
-    return CouplingResult(x=x, f=fval, coupling=value, sign_class=sign, kondo_temperature=tk, ratio=value / tk)
+    if tk == 0.0:
+        raise DomainError(f"T_K = D sqrt(g) exp(-1/g) underflows to 0 at g = {p.g!r}")
+    ratio = value / tk
+    if not (math.isfinite(value) and math.isfinite(ratio)):
+        raise DomainError(f"I = {value!r} and I/T_K = {ratio!r} must be finite")
+    return CouplingResult(x=x, f=fval, coupling=value, sign_class=sign, kondo_temperature=tk, ratio=ratio)

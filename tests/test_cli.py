@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -165,6 +169,17 @@ def test_rkky_rejects_non_finite_input(capsys, flag, value):
     assert code == 2 and "finite" in err and out == ""
 
 
+@pytest.mark.parametrize("j, ef", [("0.001", "1"), ("0.0014", "1e10")])
+def test_rkky_rejects_kondo_scale_out_of_float_range(capsys, j, ef):
+    # g = 0.001 underflows exp(-1/g) to T_K = 0; g = 0.0014 leaves a subnormal
+    # T_K that makes I/T_K overflow
+    argv = RKKY_BASE[:]
+    argv[argv.index("--j") + 1] = j
+    argv[argv.index("--ef") + 1] = ef
+    code, out, err = run(capsys, *argv, "--r-min", "0.5", "--r-max", "10", "--steps", "3", "--format", "json")
+    assert code == 2 and err.startswith("tikm: ") and out == ""
+
+
 # ---------------------------------------------------------------- simulate
 
 
@@ -297,6 +312,15 @@ def test_critical_rejects_non_finite_target(capsys):
     assert code == 2 and "finite" in err and out == ""
 
 
+def test_critical_rejects_non_finite_tol(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(kondo_sim, "point_correlation", lambda model, param, value: calls.append(value) or 0.0)
+    code, out, err = run(capsys, "critical", "--sites", "4", "--param", "jk", "--min", "0.5", "--max", "6",
+                         "--tol", "inf", "--format", "json")
+    assert code == 2 and "must be finite" in err and out == ""
+    assert calls == []  # refused before any solve
+
+
 @pytest.mark.parametrize("bounds", [("0.5", "inf"), ("0.5", "nan"), ("-inf", "2")])
 def test_critical_rejects_non_finite_bounds(capsys, monkeypatch, bounds):
     calls = []
@@ -350,6 +374,17 @@ def test_unmapped_error_propagates(capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_werner", fail)
     with pytest.raises(NotHermitianError):
         cli.main(["werner", "--fs", "0"])
+
+
+def test_import_leaves_scipy_linalg_out():
+    # importing scipy.linalg costs about 50 ms of every command's start-up,
+    # and nothing the CLI runs needs it; a fresh interpreter sees the imports
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = "import sys, tikm.cli; print('scipy.linalg' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
 
 
 def test_csv_outputs_bit_identical(capsys, tmp_path):

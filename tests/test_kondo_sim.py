@@ -528,6 +528,19 @@ def test_lanczos_not_converged_reports_diagnostics(monkeypatch):
     assert np.isfinite(info.value.residual)
 
 
+def test_dense_residual_is_checked_at_the_same_exit(monkeypatch):
+    # hand the dense branch the highest eigenvector in place of the lowest:
+    # the one residual check after both branches refuses it
+    m = ks.ChainModel(sites=2, jk=0.5)
+    h = ks.build_hamiltonian(m, ks.build_basis(m))
+    spec = qmat.hermitian_eig(h.toarray())
+    monkeypatch.setattr(qmat, "hermitian_eig", lambda a: qmat.Spectrum(spec.values, spec.vectors[:, ::-1]))
+    with pytest.raises(NotConvergedError, match="Dense stalled") as info:
+        ks.ground_state(h, method="dense")
+    assert info.value.iterations == 0
+    assert info.value.residual > 1e-8
+
+
 def test_dense_refused_beyond_memory_guard():
     import scipy.sparse as sparse
 
@@ -719,7 +732,7 @@ def test_find_crossing_no_bracket():
 
 def test_find_crossing_rejects_bad_tol(monkeypatch):
     m = ks.ChainModel(sites=2)
-    for tol in (0.0, -1e-4, math.nan, 1e-30):  # 1e-30 needs more than MAX_BISECTIONS halvings
+    for tol in (0.0, -1e-4, math.nan, math.inf, 1e-30):  # 1e-30 needs more than MAX_BISECTIONS halvings
         with pytest.raises(ValueError, match="tol"):
             ks.find_crossing(m, "jk", 1.0, 2.0, tol=tol)
     # a tol below the float spacing cannot be reached and is refused before any solve

@@ -164,3 +164,17 @@ def test_params_reject_non_finite(field, value):
     fields = dict(j=0.2, fermi_energy=1.0, fermi_wavevector=0.5, dos_fermi=1.0, bandwidth=1.0, dimension=3, distance=1.0)
     with pytest.raises(DomainError, match="finite"):
         rkky.RkkyParams(**dict(fields, **{field: value}))
+
+
+@pytest.mark.parametrize(
+    "j, fermi_energy, match",
+    [
+        (0.001, 1.0, "underflows"),  # exp(-1/g) underflows, so T_K = 0
+        (0.0014, 1e10, "finite"),  # T_K is subnormal (about 2e-312), so I/T_K overflows
+        (0.5, 1e308, "finite"),  # I itself overflows
+    ],
+)
+def test_coupling_rejects_kondo_scale_out_of_float_range(j, fermi_energy, match):
+    fields = dict(fermi_wavevector=0.5, dos_fermi=1.0, bandwidth=1.0, dimension=3, distance=0.5)
+    with pytest.raises(DomainError, match=match):
+        rkky.coupling(rkky.RkkyParams(j=j, fermi_energy=fermi_energy, **fields))
