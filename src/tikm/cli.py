@@ -224,10 +224,9 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     model = _model_from_args(args)
-    method = "dense" if args.dense else "auto"
-    a = model.analyze(method)
+    a = model.analyze()
     g = a.ground
-    singlet = kondo_sim.singlet_check(model, g.energy, method)
+    singlet = kondo_sim.singlet_check(model, g.energy)
     pairs: list[tuple[str, object]] = [
         ("sites", model.sites),
         ("hopping", model.hopping),
@@ -320,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="exact diagonalization of one chain model")
     _add_model_flags(p)
-    p.add_argument("--dense", action="store_true", help="force the dense eigensolver")
     add_common(p, "pretty")
     p.set_defaults(func=cmd_simulate)
 

@@ -27,6 +27,7 @@ Encoding conventions (fixed so tests can be bit-exact):
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Iterable
@@ -49,11 +50,9 @@ from .errors import (
 #: 31 x 1.7 MB, about 53 MB.
 MAX_SITES = 10
 
-#: Sector dimension at and below which the dense eigensolver is used.
+#: Sector dimension at and below which the dense eigensolver is used; larger
+#: sectors run thick-restart Lanczos.
 DENSE_CUTOFF = 512
-
-#: Hard cap for an explicitly requested dense solve (memory guard).
-DENSE_MAX = 6000
 
 #: Lanczos settings: the start vector's seed (fixed, so reruns are bit
 #: identical); each cycle fills a block of KRYLOV_DIM + 1 vectors, and a
@@ -110,6 +109,10 @@ class ChainModel:
     ndn: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("sites", "xa", "xb", "nup", "ndn"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         L = self.sites
         if not 1 <= L <= MAX_SITES:
             raise ValueError(f"sites must be in [1, {MAX_SITES}], got {L!r}")
@@ -148,16 +151,15 @@ class ChainModel:
         """Twice the total S^z of the natural sector: electron polarization, impurities balanced."""
         return self.nup - self.ndn
 
-    def analyze(self, method: str = "auto") -> Analysis:
+    def analyze(self) -> Analysis:
         """Solve the natural sector and reduce its ground state to the impurity pair.
 
         This is the one path from a model to f_s: basis, Hamiltonian, ground
-        state (``method`` as in ``ground_state``), impurity RDM and
-        <S_A . S_B>.  The basis and the Hamiltonian are freed on return, before
-        a caller solves a second sector.
+        state, impurity RDM and <S_A . S_B>.  The basis and the Hamiltonian
+        are freed on return, before a caller solves a second sector.
         """
         basis = build_basis(self)
-        g = ground_state(build_hamiltonian(self, basis), method)
+        g = ground_state(build_hamiltonian(self, basis))
         rho = impurity_rdm(g, basis)
         return Analysis(dim=basis.dim, ground=g, rho=rho, f_s=measures.spin_correlation(rho))
 
@@ -294,10 +296,15 @@ def build_hamiltonian(model: ChainModel, basis: SectorBasis) -> sparse.csr_matri
     cols.append(src.astype(np.int32))
     vals.append(diag[src])
 
-    return sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(basis.dim, basis.dim),
-    ).tocsr()
+    def joined(parts: list[np.ndarray]) -> np.ndarray:
+        # drop the per-term arrays as soon as they are copied, so they are
+        # gone before the CSR conversion allocates its own copy
+        out = np.concatenate(parts)
+        parts.clear()
+        return out
+
+    coo = sparse.coo_matrix((joined(vals), (joined(rows), joined(cols))), shape=(basis.dim, basis.dim))
+    return coo.tocsr()
 
 
 @dataclass
@@ -397,16 +404,16 @@ def _thick_restart_lanczos(h, V):
         T[:k, k] = T[k, :k] = beta * Y[n - 1, :k]
 
 
-def ground_state(h: sparse.csr_matrix, method: str = "auto") -> GroundStateResult:
+def ground_state(h: sparse.csr_matrix) -> GroundStateResult:
     """Lowest eigenpair of a sector Hamiltonian.
 
-    ``method`` is "auto" (dense at or below DENSE_CUTOFF, else Lanczos),
-    "dense" (at most DENSE_MAX states), or "lanczos" (thick-restart Lanczos
-    from a fixed-seed start vector in one block of KRYLOV_DIM + 1 vectors).
-    Both paths leave through one exit: it raises NotConvergedError unless the
-    explicit residual ||H psi - E psi|| is at most 1e-8 * max(1, |E|), and
-    ``gap`` is the second eigenvalue (on the Lanczos path the final cycle's
-    second Ritz value, an upper bound on E_1) minus the energy; a gap below
+    The sector size alone picks the path: a dense eigensolve at or below
+    DENSE_CUTOFF states, else thick-restart Lanczos from a fixed-seed start
+    vector in one block of KRYLOV_DIM + 1 vectors.  Both paths leave through
+    one exit: it raises NotConvergedError unless the explicit residual
+    ||H psi - E psi|| is at most 1e-8 * max(1, |E|), and ``gap`` is the
+    second eigenvalue (on the Lanczos path the final cycle's second Ritz
+    value, an upper bound on E_1) minus the energy; a gap below
     DEGENERACY_ATOL marks the result degenerate.  A single start vector does
     not see an exactly degenerate partner within the sector, so the Lanczos
     path can miss such a degeneracy.
@@ -414,11 +421,7 @@ def ground_state(h: sparse.csr_matrix, method: str = "auto") -> GroundStateResul
     dim = h.shape[0]
     if dim == 0:
         raise EmptySectorError("empty Hamiltonian")
-    if method not in ("auto", "dense", "lanczos"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "dense" or (method == "auto" and dim <= DENSE_CUTOFF):
-        if dim > DENSE_MAX:
-            raise ValueError(f"dense solve refused for dimension {dim} (> {DENSE_MAX}); use the Lanczos path")
+    if dim <= DENSE_CUTOFF:
         method, iterations = "dense", 0
         values, vectors = qmat.hermitian_eig(h.toarray())
         psi = np.ascontiguousarray(vectors[:, 0])
@@ -449,7 +452,7 @@ def ground_state(h: sparse.csr_matrix, method: str = "auto") -> GroundStateResul
     )
 
 
-def singlet_check(model: ChainModel, energy: float, method: str = "auto") -> bool:
+def singlet_check(model: ChainModel, energy: float) -> bool:
     """True iff the natural-sector ground energy ``energy`` has no partner in the next S^z sector.
 
     Solves only the sector with S^z raised by one and compares its ground
@@ -458,7 +461,7 @@ def singlet_check(model: ChainModel, energy: float, method: str = "auto") -> boo
     doublet) does not.
     """
     h = build_hamiltonian(model, build_basis(model, (model.default_sz2() + 2) / 2.0))
-    return energy < ground_state(h, method).energy - SINGLET_MARGIN
+    return energy < ground_state(h).energy - SINGLET_MARGIN
 
 
 #: Impurity configuration bits -> index in the {uu, ud, du, dd} product basis.
@@ -704,7 +707,3 @@ def parse_model_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             out[key] = _MODEL_FILE_KEYS[key](value)
     return out
-
-
-def load_model(path: str) -> ChainModel:
-    return ChainModel(**parse_model_file(path))

@@ -118,7 +118,7 @@ def test_criterion_06_microscopic_werner_form():
     _report(6, "half-filled chain ground states are rotation invariant", ok, started, 60.0)
 
 
-def test_criterion_07_strong_direct_exchange_limits():
+def test_criterion_07_strong_direct_exchange_limits(solve_on):
     started = time.perf_counter()
     model = kondo_sim.ChainModel(sites=2, nup=0, ndn=0, idirect=1.0)
     basis = kondo_sim.build_basis(model)
@@ -130,14 +130,14 @@ def test_criterion_07_strong_direct_exchange_limits():
     for idirect in (0.0, 1.0, 2.0, 4.0, 8.0):
         m = kondo_sim.ChainModel(sites=4, jk=0.5, idirect=idirect)
         b = kondo_sim.build_basis(m)
-        g = kondo_sim.ground_state(kondo_sim.build_hamiltonian(m, b), method="dense")
+        g = solve_on(kondo_sim.build_hamiltonian(m, b), "dense")
         concs.append(werner.concurrence_closed(werner.from_correlation(
             measures.spin_correlation(kondo_sim.impurity_rdm(g, b)))))
     ok = ok and all(b > a for a, b in zip(concs, concs[1:])) and concs[-1] > 0.995
     _report(7, f"direct-exchange limits (grid C: {concs[0]:.4f} -> {concs[-1]:.4f})", ok, started, 60.0)
 
 
-def test_criterion_08_solver_equivalence():
+def test_criterion_08_solver_equivalence(solve_on):
     started = time.perf_counter()
     models = [
         kondo_sim.ChainModel(sites=2, jk=0.5),
@@ -155,8 +155,8 @@ def test_criterion_08_solver_equivalence():
         basis = kondo_sim.build_basis(model)
         assert basis.dim <= 512
         h = kondo_sim.build_hamiltonian(model, basis)
-        dense = kondo_sim.ground_state(h, method="dense")
-        lanczos = kondo_sim.ground_state(h, method="lanczos")
+        dense = solve_on(h, "dense")
+        lanczos = solve_on(h, "lanczos")
         ok = ok and abs(dense.energy - lanczos.energy) < 1e-8
         fs_d = measures.spin_correlation(kondo_sim.impurity_rdm(dense, basis))
         fs_l = measures.spin_correlation(kondo_sim.impurity_rdm(lanczos, basis))

@@ -6,6 +6,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tikm import cli, kondo_sim
@@ -19,6 +20,8 @@ from tikm.errors import (
     NotHermitianError,
     OutOfRangeError,
 )
+
+from oracles import sdots_expectation
 
 
 def run(capsys, *argv):
@@ -195,15 +198,23 @@ def test_simulate_two_spin_model(capsys):
 
 
 def test_simulate_solver_equivalence(capsys):
-    # dimension 1250 sector: auto takes the iterative path, --dense the direct one
-    base = ["simulate", "--sites", "6", "--jk", "0.5", "--format", "json"]
-    code1, out1, _ = run(capsys, *base)
-    code2, out2, _ = run(capsys, *base, "--dense")
-    assert code1 == code2 == 0
-    rec1, rec2 = json.loads(out1), json.loads(out2)
-    assert rec1["method"] == "lanczos" and rec2["method"] == "dense"
-    assert abs(rec1["fs"] - rec2["fs"]) <= 1e-8
-    assert abs(rec1["energy"] - rec2["energy"]) <= 1e-8
+    # dimension 1250 sector: the CLI takes the Lanczos path; the reference is a
+    # dense eigensolve of the same sector with f_s read off the amplitudes
+    code, out, _ = run(capsys, "simulate", "--sites", "6", "--jk", "0.5", "--format", "json")
+    assert code == 0
+    rec = json.loads(out)
+    model = kondo_sim.ChainModel(sites=6, jk=0.5)
+    basis = kondo_sim.build_basis(model)
+    values, vectors = np.linalg.eigh(kondo_sim.build_hamiltonian(model, basis).toarray())
+    assert rec["method"] == "lanczos" and rec["sector_dim"] == basis.dim
+    assert abs(rec["energy"] - values[0]) <= 1e-8
+    assert abs(rec["fs"] - sdots_expectation(basis.codes, vectors[:, 0], basis.n_orbitals)) <= 1e-8
+
+
+def test_simulate_dense_flag_is_gone():
+    with pytest.raises(SystemExit) as info:
+        cli.main(["simulate", "--sites", "4", "--jk", "0.5", "--dense"])
+    assert info.value.code == 2
 
 
 def test_simulate_degenerate_exit(capsys):

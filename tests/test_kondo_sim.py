@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import eigsh
@@ -67,6 +68,25 @@ def test_model_validation():
 def test_model_rejects_non_finite_couplings(field, value):
     with pytest.raises(ValueError, match="finite"):
         ks.ChainModel(sites=4, **{field: value})
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"sites": 4.0},
+        {"sites": True},
+        {"xa": 1.0, "xb": 2},
+        {"xa": 1, "xb": np.float64(2.0)},
+        {"xa": False, "xb": 2},
+        {"nup": 2.0},
+        {"ndn": True},
+    ],
+)
+def test_model_rejects_non_integer_counts(fields):
+    # refused up front: a float count fails later, inside the basis
+    # enumeration, with a TypeError that a sweep's per-point capture misses
+    with pytest.raises(ValueError, match="must be an integer"):
+        ks.ChainModel(**{"sites": 4, **fields})
 
 
 # ---------------------------------------------------------------- basis
@@ -206,6 +226,20 @@ def test_hamiltonian_equals_loop_reference(sites):
     assert built >= 3
 
 
+def test_hamiltonian_build_peak_is_bounded():
+    import tracemalloc
+
+    m = ks.ChainModel(sites=8, jk=0.5)
+    basis = ks.build_basis(m)
+    tracemalloc.start()
+    try:
+        h = ks.build_hamiltonian(m, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * (h.data.nbytes + h.indices.nbytes + h.indptr.nbytes)
+
+
 def test_hamiltonian_term_leaving_sector_raises():
     m = ks.ChainModel(sites=4, jk=0.5, idirect=0.3)
     basis = ks.build_basis(m)
@@ -301,21 +335,30 @@ def test_symmetric_model_commutes_with_reflection():
 # ---------------------------------------------------------------- ground_state
 
 
-def test_lanczos_agrees_with_dense():
+def test_lanczos_agrees_with_dense(solve_on):
     m = ks.ChainModel(sites=3, nup=2, ndn=1, jk=0.7)
     basis = ks.build_basis(m)
     h = ks.build_hamiltonian(m, basis)
-    dense = ks.ground_state(h, method="dense")
-    lanczos = ks.ground_state(h, method="lanczos")
+    dense = solve_on(h, "dense")
+    lanczos = solve_on(h, "lanczos")
     assert abs(dense.energy - lanczos.energy) <= 1e-8
     fs_d = measures.spin_correlation(ks.impurity_rdm(dense, basis))
     fs_l = measures.spin_correlation(ks.impurity_rdm(lanczos, basis))
     assert abs(fs_d - fs_l) <= 1e-8
-    assert lanczos.method == "lanczos" and dense.method == "dense"
+
+
+@pytest.mark.parametrize("dim, method", [(ks.DENSE_CUTOFF, "dense"), (ks.DENSE_CUTOFF + 1, "lanczos")])
+def test_sector_size_alone_picks_the_solver(dim, method):
+    # an isolated lowest level, so both paths converge at once; the Lanczos
+    # gap is the second Ritz value's, an upper bound
+    h = sparse.diags(np.r_[-1.0, np.linspace(0.0, 1.0, dim - 1)], format="csr")
+    g = ks.ground_state(h)
+    assert g.method == method
+    assert abs(g.energy + 1.0) <= 1e-12 and g.gap >= 1.0 - 1e-12
 
 
 @pytest.mark.parametrize("sites", [5, 6, 7])
-def test_lanczos_gap_bounds_the_true_gap(sites):
+def test_lanczos_gap_bounds_the_true_gap(sites, solve_on):
     # ARPACK at tol=0 stands in for the dense spectrum, which takes 10-16 s at L=7;
     # electron counts are even because at L=5 an odd count can carry an exact
     # in-sector degeneracy, which no single-vector Lanczos sees
@@ -325,7 +368,7 @@ def test_lanczos_gap_bounds_the_true_gap(sites):
         m = ks.ChainModel(sites=sites, jk=jk, idirect=idirect, nup=n, ndn=n)
         h = ks.build_hamiltonian(m, ks.build_basis(m))
         w = np.sort(eigsh(h, k=3, which="SA", tol=0, v0=rng.standard_normal(h.shape[0]))[0])
-        g = ks.ground_state(h, method="lanczos")
+        g = solve_on(h, "lanczos")
         # the final cycle's second Ritz value lies above E_1, so the gap is never
         # underestimated beyond round-off; the kept Ritz vectors converge too
         assert -1e-12 <= g.gap - (w[1] - w[0]) <= 1e-8, (jk, idirect, n)
@@ -399,17 +442,17 @@ def test_lanczos_block_repasses_when_gram_schmidt_cancels(monkeypatch):
 
 
 @pytest.mark.parametrize("sites, iterations", [(6, 69), (8, 93)])
-def test_lanczos_iteration_counts_are_pinned(sites, iterations):
+def test_lanczos_iteration_counts_are_pinned(sites, iterations, solve_on):
     # a faster solve must come from cheaper steps, never from fewer or looser
     # ones: these are the thick-restart counts, and the residual still meets
     # RESIDUAL_RTOL
     m = ks.ChainModel(sites=sites, jk=0.5)
-    g = ks.ground_state(ks.build_hamiltonian(m, ks.build_basis(m)), "lanczos")
+    g = solve_on(ks.build_hamiltonian(m, ks.build_basis(m)), "lanczos")
     assert g.iterations == iterations
     assert g.residual_norm <= ks.RESIDUAL_RTOL * max(1.0, abs(g.energy))
 
 
-def test_lanczos_block_memory_is_bounded():
+def test_lanczos_block_memory_is_bounded(solve_on):
     import tracemalloc
 
     m = ks.ChainModel(sites=8, jk=0.5)
@@ -417,7 +460,7 @@ def test_lanczos_block_memory_is_bounded():
     dim = h.shape[0]
     tracemalloc.start()
     try:
-        ks.ground_state(h, "lanczos")
+        solve_on(h, "lanczos")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -433,12 +476,12 @@ def test_lanczos_block_memory_is_bounded():
         ks.ChainModel(sites=6, jk=2.0, idirect=-0.5),
     ],
 )
-def test_lanczos_restarts_match_dense(monkeypatch, model):
+def test_lanczos_restarts_match_dense(monkeypatch, solve_on, model):
     # an 8-vector block keeps 6 Ritz vectors and so adds 2 new ones a cycle
     monkeypatch.setattr(ks, "KRYLOV_DIM", 8)
     h = ks.build_hamiltonian(model, ks.build_basis(model))
-    dense = ks.ground_state(h, "dense")
-    g = ks.ground_state(h, "lanczos")
+    dense = solve_on(h, "dense")
+    g = solve_on(h, "lanczos")
     assert g.iterations >= 8 + 4 * (8 - ks.KEEP_RITZ)  # at least 5 cycles
     assert abs(g.energy - dense.energy) <= 1e-10
     assert g.gap >= dense.gap - 1e-12
@@ -453,12 +496,12 @@ def test_lanczos_restarts_match_dense(monkeypatch, model):
         ks.ChainModel(sites=3, jk=1.0, idirect=-0.4),
     ],
 )
-def test_lanczos_exhausts_sectors_smaller_than_the_block(model):
+def test_lanczos_exhausts_sectors_smaller_than_the_block(solve_on, model):
     basis = ks.build_basis(model)
     h = ks.build_hamiltonian(model, basis)
     assert basis.dim < ks.KRYLOV_DIM
-    dense = ks.ground_state(h, "dense")
-    g = ks.ground_state(h, "lanczos")
+    dense = solve_on(h, "dense")
+    g = solve_on(h, "lanczos")
     assert abs(g.energy - dense.energy) <= 1e-10
     assert g.iterations <= basis.dim
     assert g.degenerate == dense.degenerate
@@ -485,13 +528,13 @@ def _small_models(draw):
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(_small_models())
-def test_forced_lanczos_matches_dense_on_random_models(model):
+def test_forced_lanczos_matches_dense_on_random_models(solve_on, model):
     basis = ks.build_basis(model)
     h = ks.build_hamiltonian(model, basis)
-    dense = ks.ground_state(h, "dense")
+    dense = solve_on(h, "dense")
     if dense.degenerate:
         return  # a single start vector cannot resolve an in-sector partner
-    g = ks.ground_state(h, "lanczos")
+    g = solve_on(h, "lanczos")
     assert abs(g.energy - dense.energy) <= 1e-10
     fs_d = measures.spin_correlation(ks.impurity_rdm(dense, basis))
     fs_l = measures.spin_correlation(ks.impurity_rdm(g, basis))
@@ -517,18 +560,18 @@ def test_eq2_only_ground_energy():
     assert g.energy == -0.75 * 2.5
 
 
-def test_lanczos_not_converged_reports_diagnostics(monkeypatch):
+def test_lanczos_not_converged_reports_diagnostics(monkeypatch, solve_on):
     m = ks.ChainModel(sites=4, jk=0.5)
     h = ks.build_hamiltonian(m, ks.build_basis(m))
     monkeypatch.setattr(ks, "KRYLOV_DIM", 3)
     monkeypatch.setattr(ks, "MAX_RESTARTS", 1)
     with pytest.raises(NotConvergedError) as info:
-        ks.ground_state(h, method="lanczos")
+        solve_on(h, "lanczos")
     assert info.value.iterations > 0
     assert np.isfinite(info.value.residual)
 
 
-def test_dense_residual_is_checked_at_the_same_exit(monkeypatch):
+def test_dense_residual_is_checked_at_the_same_exit(monkeypatch, solve_on):
     # hand the dense branch the highest eigenvector in place of the lowest:
     # the one residual check after both branches refuses it
     m = ks.ChainModel(sites=2, jk=0.5)
@@ -536,17 +579,9 @@ def test_dense_residual_is_checked_at_the_same_exit(monkeypatch):
     spec = qmat.hermitian_eig(h.toarray())
     monkeypatch.setattr(qmat, "hermitian_eig", lambda a: qmat.Spectrum(spec.values, spec.vectors[:, ::-1]))
     with pytest.raises(NotConvergedError, match="Dense stalled") as info:
-        ks.ground_state(h, method="dense")
+        solve_on(h, "dense")
     assert info.value.iterations == 0
     assert info.value.residual > 1e-8
-
-
-def test_dense_refused_beyond_memory_guard():
-    import scipy.sparse as sparse
-
-    big = sparse.identity(ks.DENSE_MAX + 1, format="csr")
-    with pytest.raises(ValueError):
-        ks.ground_state(big, method="dense")
 
 
 def test_degenerate_ground_detected_and_blocks_rdm():
@@ -904,7 +939,7 @@ def test_find_crossing_non_monotone(monkeypatch):
 def test_parse_model_file_roundtrip(tmp_path):
     path = tmp_path / "model.cfg"
     path.write_text("# comment\nsites = 4\njk = 0.5\nidirect = -0.25\nnup=2\nndn = 2\n")
-    m = ks.load_model(str(path))
+    m = ks.ChainModel(**ks.parse_model_file(str(path)))
     assert m == ks.ChainModel(sites=4, jk=0.5, idirect=-0.25, nup=2, ndn=2)
 
 
