@@ -193,14 +193,47 @@ def cmd_rkky(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_MODEL_FLAGS = ("sites", "hopping", "jk", "idirect", "xa", "xb", "nup", "ndn")
+#: The model flags, each with the type that parses its value and its help
+#: text.  ``--config`` files take the same keys and types, and ``simulate``
+#: echoes the model in this order.
+_MODEL_FLAGS: dict[str, tuple[type, str]] = {
+    "sites": (int, "chain length L (<= 10)"),
+    "hopping": (float, "nearest-neighbor hopping t (default 1)"),
+    "jk": (float, "AFM Kondo coupling (>= 0, default 0)"),
+    "idirect": (float, "direct impurity exchange (default 0)"),
+    "xa": (int, "site of impurity A (default: centered pair)"),
+    "xb": (int, "site of impurity B"),
+    "nup": (int, "up electrons (default: half filling)"),
+    "ndn": (int, "down electrons (default: half filling)"),
+}
+
+
+def _read_model_file(path: str) -> dict:
+    """Read ``key = value`` model flags (one per line, '#' comments) from a file."""
+    out: dict = {}
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
+            key, _, value = (s.strip() for s in line.partition("="))
+            if key not in _MODEL_FLAGS:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            kind = _MODEL_FLAGS[key][0]
+            try:
+                out[key] = kind(value)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: invalid {kind.__name__} value for {key}: {value!r}") from None
+    return out
 
 
 def _model_from_args(args: argparse.Namespace) -> kondo_sim.ChainModel:
     """Build the model with flag > config-file > built-in default precedence."""
     values: dict = {}
     if args.config is not None:
-        values.update(kondo_sim.parse_model_file(args.config))
+        values.update(_read_model_file(args.config))
     for key in _MODEL_FLAGS:
         flag = getattr(args, key)
         if flag is not None:
@@ -211,14 +244,8 @@ def _model_from_args(args: argparse.Namespace) -> kondo_sim.ChainModel:
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--sites", type=int, default=None, help="chain length L (<= 10)")
-    parser.add_argument("--hopping", type=float, default=None, help="nearest-neighbor hopping t (default 1)")
-    parser.add_argument("--jk", type=float, default=None, help="AFM Kondo coupling (>= 0, default 0)")
-    parser.add_argument("--idirect", type=float, default=None, help="direct impurity exchange (default 0)")
-    parser.add_argument("--xa", type=int, default=None, help="site of impurity A (default: centered pair)")
-    parser.add_argument("--xb", type=int, default=None, help="site of impurity B")
-    parser.add_argument("--nup", type=int, default=None, help="up electrons (default: half filling)")
-    parser.add_argument("--ndn", type=int, default=None, help="down electrons (default: half filling)")
+    for name, (kind, help_text) in _MODEL_FLAGS.items():
+        parser.add_argument(f"--{name}", type=kind, default=None, help=help_text)
     parser.add_argument("--config", default=None, help="key = value model file; flags override it")
 
 
@@ -227,15 +254,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     a = model.analyze()
     g = a.ground
     singlet = kondo_sim.singlet_check(model, g.energy)
-    pairs: list[tuple[str, object]] = [
-        ("sites", model.sites),
-        ("hopping", model.hopping),
-        ("jk", model.jk),
-        ("idirect", model.idirect),
-        ("xa", model.xa),
-        ("xb", model.xb),
-        ("nup", model.nup),
-        ("ndn", model.ndn),
+    pairs: list[tuple[str, object]] = [(name, getattr(model, name)) for name in _MODEL_FLAGS]
+    pairs += [
         ("sector_dim", a.dim),
         ("method", g.method),
         ("iterations", g.iterations),

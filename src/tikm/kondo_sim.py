@@ -117,8 +117,11 @@ class ChainModel:
         if not 1 <= L <= MAX_SITES:
             raise ValueError(f"sites must be in [1, {MAX_SITES}], got {L!r}")
         for name in ("hopping", "jk", "idirect"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.hopping < 0.0:
             raise ValueError(f"hopping must be >= 0, got {self.hopping!r}")
         if self.jk < 0.0:
@@ -678,32 +681,3 @@ def find_crossing(
             points=[(a, g_a + target_fs, b, g_b + target_fs)],
         )
     return 0.5 * (a + b)
-
-
-_MODEL_FILE_KEYS = {
-    "sites": int,
-    "hopping": float,
-    "jk": float,
-    "idirect": float,
-    "xa": int,
-    "xb": int,
-    "nup": int,
-    "ndn": int,
-}
-
-
-def parse_model_file(path: str) -> dict:
-    """Read ``key = value`` pairs (one per line, '#' comments) describing a model."""
-    out: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
-            key, _, value = (s.strip() for s in line.partition("="))
-            if key not in _MODEL_FILE_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = _MODEL_FILE_KEYS[key](value)
-    return out

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sparse
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import eigsh
 
@@ -68,6 +68,18 @@ def test_model_validation():
 def test_model_rejects_non_finite_couplings(field, value):
     with pytest.raises(ValueError, match="finite"):
         ks.ChainModel(sites=4, **{field: value})
+
+
+@pytest.mark.parametrize("field", ["hopping", "jk", "idirect"])
+@pytest.mark.parametrize("value", [True, "0.5", 1 + 0j, None])
+def test_model_rejects_non_real_couplings(field, value):
+    with pytest.raises(ValueError, match="must be a real number"):
+        ks.ChainModel(sites=4, **{field: value})
+
+
+def test_model_accepts_int_and_numpy_couplings():
+    m = ks.ChainModel(sites=4, hopping=1, jk=np.float64(0.5), idirect=np.int64(-1))
+    assert m.analyze().f_s == ks.ChainModel(sites=4, hopping=1.0, jk=0.5, idirect=-1.0).analyze().f_s
 
 
 @pytest.mark.parametrize(
@@ -321,14 +333,36 @@ def test_reflection_conjugation_exact():
     assert abs(e1 - e2) <= 1e-12
 
 
-def test_symmetric_model_commutes_with_reflection():
-    m = ks.ChainModel(sites=4, jk=0.5)  # centered impurities
-    basis = ks.build_basis(m, 0)
-    h = ks.build_hamiltonian(m, basis).tocoo()
-    perm, sign = reflection_map(basis.codes, 4)
-    data = h.data * sign[h.row] * sign[h.col]
-    mapped = type(ks.build_hamiltonian(m, basis))((data, (perm[h.row], perm[h.col])), shape=(basis.dim, basis.dim)).tocsr()
-    diff = mapped - ks.build_hamiltonian(m, basis)
+@st.composite
+def _centred_models(draw):
+    """Models whose impurities sit at mirror sites (xa + xb = L - 1), a shared centre site included."""
+    sites = draw(st.integers(1, 6))
+    xa = draw(st.integers(0, (sites - 1) // 2))
+    return ks.ChainModel(
+        sites=sites,
+        hopping=draw(st.floats(0.0, 2.0)),
+        jk=draw(st.floats(0.0, 3.0)),
+        idirect=draw(st.floats(-2.0, 2.0)),
+        xa=xa,
+        xb=sites - 1 - xa,
+        nup=draw(st.integers(0, sites)),
+        ndn=draw(st.integers(0, sites)),
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_centred_models(), st.integers(0, 1))
+@example(ks.ChainModel(sites=4, jk=0.5), 0)
+@example(ks.ChainModel(sites=6, jk=0.7, idirect=0.3), 1)
+def test_symmetric_model_commutes_with_reflection(m, sz_raise):
+    # in the natural sector and in the one with S^z raised by one
+    basis = ks.build_basis(m, m.default_sz2() / 2.0 + sz_raise)
+    h = ks.build_hamiltonian(m, basis)
+    coo = h.tocoo()
+    perm, sign = reflection_map(basis.codes, m.sites)
+    data = coo.data * sign[coo.row] * sign[coo.col]
+    mapped = type(h)((data, (perm[coo.row], perm[coo.col])), shape=h.shape)
+    diff = mapped - h
     assert diff.nnz == 0 or np.abs(diff).max() == 0.0
 
 
@@ -931,27 +965,3 @@ def test_find_crossing_non_monotone(monkeypatch):
     with pytest.raises(NonMonotoneError) as info:
         ks.find_crossing(ks.ChainModel(sites=2), "jk", 0.0, 2.0)
     assert info.value.points
-
-
-# ---------------------------------------------------------------- model files
-
-
-def test_parse_model_file_roundtrip(tmp_path):
-    path = tmp_path / "model.cfg"
-    path.write_text("# comment\nsites = 4\njk = 0.5\nidirect = -0.25\nnup=2\nndn = 2\n")
-    m = ks.ChainModel(**ks.parse_model_file(str(path)))
-    assert m == ks.ChainModel(sites=4, jk=0.5, idirect=-0.25, nup=2, ndn=2)
-
-
-def test_parse_model_file_rejects_unknown_key(tmp_path):
-    path = tmp_path / "model.cfg"
-    path.write_text("sites = 4\ntemperature = 1\n")
-    with pytest.raises(ValueError):
-        ks.parse_model_file(str(path))
-
-
-def test_parse_model_file_rejects_garbage(tmp_path):
-    path = tmp_path / "model.cfg"
-    path.write_text("sites 4\n")
-    with pytest.raises(ValueError):
-        ks.parse_model_file(str(path))
