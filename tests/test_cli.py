@@ -280,8 +280,9 @@ def test_simulate_config_file_unknown_key(capsys, tmp_path):
         ("sites = 4\njk = abc\n", "2: invalid float value for jk: 'abc'"),
         ("# L\nsites = 4.5\n", "2: invalid int value for sites: '4.5'"),
         ("sites = 4\nxa =\n", "2: invalid int value for xa: ''"),
+        ("sites = 2\nvolume = 3\n", "2: unknown key 'volume'"),
     ],
-    ids=["garbage", "float", "int", "empty"],
+    ids=["garbage", "float", "int", "empty", "unknown_key"],
 )
 def test_simulate_config_file_rejects_bad_line(capsys, tmp_path, text, message):
     cfg = tmp_path / "model.cfg"
