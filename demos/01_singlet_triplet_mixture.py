@@ -45,6 +45,7 @@ Reading the table:
   absorbed by the environment.
 """
 )
-print("critical correlation f_c =", werner.critical_correlation())
+print("critical correlation f_c =", werner.CRITICAL_CORRELATION)
 print("CHSH threshold        f  =", werner.CHSH_CORRELATION)
-print("single-spin entropy      =", werner.single_entropy(), "bit (for every f_s)")
+single_entropy = werner.classify(werner.from_correlation(0.0)).single_entropy
+print("single-spin entropy      =", single_entropy, "bit (for every f_s)")

@@ -9,10 +9,11 @@ Subcommands::
     tikm critical  --param jk --min --max --tol   find the f_s = -1/4 crossing
 
 Formats: ``pretty`` (6 significant digits, human), ``csv`` and ``json``
-(17 significant digits, bit-stable across runs).  Exit codes: 0 success,
-2 usage or domain error, 3 I/O error, 4 eigensolver not converged,
-5 degenerate ground state, 6 no bracket, 7 non-monotone scan or
-a jump of f_s over the target.
+(17 significant digits, bit-identical across reruns on one BLAS build and
+thread count; the thread count can move the last digits of ED results).
+Exit codes: 0 success, 2 usage or domain error, 3 I/O error, 4 eigensolver
+not converged, 5 degenerate ground state, 6 no bracket, 7 non-monotone scan
+or a jump of f_s over the target.
 """
 
 from __future__ import annotations
@@ -347,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min", type=float, required=True)
     p.add_argument("--max", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--target-fs", type=float, default=-0.25)
+    p.add_argument("--target-fs", type=float, default=werner.CRITICAL_CORRELATION)
     _add_model_flags(p)
     add_common(p, "pretty")
     p.set_defaults(func=cmd_critical)

@@ -413,13 +413,14 @@ def ground_state(h: sparse.csr_matrix) -> GroundStateResult:
     The sector size alone picks the path: a dense eigensolve at or below
     DENSE_CUTOFF states, else thick-restart Lanczos from a fixed-seed start
     vector in one block of KRYLOV_DIM + 1 vectors.  Both paths leave through
-    one exit: it raises NotConvergedError unless the explicit residual
-    ||H psi - E psi|| is at most 1e-8 * max(1, |E|), and ``gap`` is the
-    second eigenvalue (on the Lanczos path the final cycle's second Ritz
-    value, an upper bound on E_1) minus the energy; a gap below
-    DEGENERACY_ATOL marks the result degenerate.  A single start vector does
-    not see an exactly degenerate partner within the sector, so the Lanczos
-    path can miss such a degeneracy.
+    one exit: it raises NotConvergedError unless the energy E is finite and
+    the explicit residual ||H psi - E psi|| is at most 1e-8 * max(1, |E|)
+    (a NaN residual fails), and ``gap`` is the second eigenvalue (on the
+    Lanczos path the final cycle's second Ritz value, an upper bound on E_1)
+    minus the energy; a gap below DEGENERACY_ATOL marks the result
+    degenerate.  A single start vector does not see an exactly degenerate
+    partner within the sector, so the Lanczos path can miss such a
+    degeneracy.
     """
     dim = h.shape[0]
     if dim == 0:
@@ -437,7 +438,7 @@ def ground_state(h: sparse.csr_matrix) -> GroundStateResult:
         V[0] /= np.linalg.norm(V[0])
         values, psi, iterations, _, residual = _thick_restart_lanczos(h, V)
     energy = float(values[0])
-    if residual > 1e-8 * max(1.0, abs(energy)):
+    if not (math.isfinite(energy) and residual <= 1e-8 * max(1.0, abs(energy))):
         raise NotConvergedError(
             f"{method.capitalize()} stalled at residual {residual:.3e} after {iterations} iterations",
             iterations=iterations,
@@ -458,12 +459,15 @@ def ground_state(h: sparse.csr_matrix) -> GroundStateResult:
 def singlet_check(model: ChainModel, energy: float) -> bool:
     """True iff the natural-sector ground energy ``energy`` has no partner in the next S^z sector.
 
-    Solves only the sector with S^z raised by one and compares its ground
-    energy with ``energy``; a multiplet with S >= 1 (or >= 3/2 for odd
-    electron count) appears degenerately in both, a singlet (or Kramers
-    doublet) does not.
+    Solves only the sector one step of S^z further from zero (raised for
+    S^z >= 0, lowered below) and compares its ground energy with
+    ``energy``; a multiplet with S >= 1 (or >= 3/2 for odd electron count)
+    that reaches the natural sector appears degenerately in both, a singlet
+    (or Kramers doublet) does not.  Stepping towards zero instead would
+    find every multiplet of the natural sector again.
     """
-    h = build_hamiltonian(model, build_basis(model, (model.default_sz2() + 2) / 2.0))
+    sz2 = model.default_sz2()
+    h = build_hamiltonian(model, build_basis(model, (sz2 + (2 if sz2 >= 0 else -2)) / 2.0))
     return energy < ground_state(h).energy - SINGLET_MARGIN
 
 
@@ -583,7 +587,7 @@ def find_crossing(
     param: str,
     lo: float,
     hi: float,
-    target_fs: float = -0.25,
+    target_fs: float = werner.CRITICAL_CORRELATION,
     tol: float = 1e-6,
 ) -> float:
     """Find the parameter value where f_s crosses ``target_fs``.

@@ -12,8 +12,6 @@ import numpy as np
 from . import qmat
 from .errors import NotHermitianError
 
-PAULI_LABELS = ("0", "x", "y", "z")
-
 _IMAG_ATOL = 1e-10
 
 # all sixteen sigma_a x sigma_b products, indexed [a, b], built once
@@ -23,8 +21,8 @@ _PAULI_KRON = np.array([[np.kron(pa, pb) for pb in qmat.PAULIS] for pa in qmat.P
 def pauli_coefficients(rho: np.ndarray) -> np.ndarray:
     """Correlation matrix r[a, b] = Tr((sigma_a x sigma_b) rho).
 
-    Index order follows PAULI_LABELS: 0 = identity, then x, y, z.  For a
-    Hermitian input every coefficient is real; r[0, 0] equals the trace.
+    Index order is 0 = identity, then x, y, z.  For a Hermitian input every
+    coefficient is real; r[0, 0] equals the trace.
     """
     rho = qmat.require_hermitian(rho, name="rho")
     if rho.shape != (4, 4):
@@ -34,12 +32,6 @@ def pauli_coefficients(rho: np.ndarray) -> np.ndarray:
     if worst > _IMAG_ATOL:
         raise NotHermitianError(f"Pauli coefficients have imaginary part up to {worst:.3e}")
     return vals.real.copy()
-
-
-def pauli_reconstruct(r: np.ndarray) -> np.ndarray:
-    """Rebuild the 4x4 operator (1/4) sum_ab r[a, b] sigma_a x sigma_b."""
-    r = np.asarray(r, dtype=float)
-    return np.einsum("ab,abij->ij", r, _PAULI_KRON) / 4.0
 
 
 def spin_correlation(rho: np.ndarray) -> float:

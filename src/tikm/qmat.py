@@ -53,18 +53,13 @@ def projector(vec: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    m = np.asarray(m)
-    return float(np.abs(m - m.conj().T).max())
-
-
 def require_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     """The input as a square float (if real) or complex array, checked Hermitian within HERMITICITY_ATOL."""
     m = np.asarray(m)
     m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"{name} must be square, got shape {m.shape}")
-    defect = hermiticity_defect(m)
+    defect = float(np.abs(m - m.conj().T).max())
     if defect > HERMITICITY_ATOL:
         raise NotHermitianError(f"{name} deviates from Hermiticity by {defect:.3e} (atol {HERMITICITY_ATOL:.1e})")
     return m

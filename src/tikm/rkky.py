@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import sici
-
 from .errors import DomainError
 
 #: Switch point below which F_3 is evaluated by series to avoid the
@@ -50,6 +48,10 @@ def f1(x: float) -> float:
 
     Evaluated as -(pi/2 - Si(x))/4; equals -pi/8 at x = 0 and decays to zero.
     """
+    # imported here, not at module level: scipy.special adds 50-70 ms to
+    # the start-up of every command, and only this function needs it
+    from scipy.special import sici
+
     x = float(x)
     if x < 0.0:
         raise DomainError(f"f1 requires x >= 0, got {x!r}")

@@ -32,6 +32,9 @@ CHSH_FIDELITY = (1.0 + 3.0 / math.sqrt(2.0)) / 4.0
 #: Correlation below which the CHSH inequality is violated, -3/(4 sqrt 2).
 CHSH_CORRELATION = 0.25 - CHSH_FIDELITY
 
+#: Correlation below which the pair is entangled, f_c = -1/4 (p_s = 1/2).
+CRITICAL_CORRELATION = -0.25
+
 #: Slack accepted on interval endpoints before raising OutOfRangeError,
 #: so that correlations measured from simulator states (exact up to
 #: round-off) remain usable.
@@ -84,11 +87,6 @@ def concurrence_closed(w: WernerState) -> float:
     return max(2.0 * w.p_s - 1.0, 0.0)
 
 
-def negativity_closed(w: WernerState) -> float:
-    """Negativity; coincides with the concurrence for this family."""
-    return concurrence_closed(w)
-
-
 def pair_entropy(w: WernerState) -> float:
     """Entropy (bits) of the pair state: how entangled the pair is with the rest."""
     p = w.p_s
@@ -98,16 +96,6 @@ def pair_entropy(w: WernerState) -> float:
     if p < 1.0:
         ent -= (1.0 - p) * math.log2((1.0 - p) / 3.0)
     return ent
-
-
-def single_entropy() -> float:
-    """Entropy (bits) of either single-spin marginal; identically 1 by symmetry."""
-    return 1.0
-
-
-def critical_correlation() -> float:
-    """Correlation at which entanglement vanishes: f_s = -1/4 (p_s = 1/2)."""
-    return -0.25
 
 
 @dataclass(frozen=True)
@@ -136,9 +124,11 @@ def classify(w: WernerState) -> EntanglementReport:
     c = concurrence_closed(w)
     return EntanglementReport(
         concurrence=c,
+        # the negativity coincides with the concurrence for this family
         negativity=c,
         pair_entropy=pair_entropy(w),
-        single_entropy=single_entropy(),
+        # rotation invariance leaves either single spin maximally mixed: 1 bit
+        single_entropy=1.0,
         prob_singlet=w.p_s,
         prob_triplet=3.0 * w.p_t,
         entangled=c > 0.0,

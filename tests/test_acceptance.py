@@ -56,9 +56,10 @@ def test_criterion_03_entropy_endpoints():
     ok = werner.pair_entropy(werner.from_fidelity(1.0)) == 0.0
     ok = ok and werner.pair_entropy(werner.from_fidelity(0.25)) == 2.0
     ok = ok and abs(werner.pair_entropy(werner.from_fidelity(0.0)) - math.log2(3.0)) <= 1e-12
-    ok = ok and werner.single_entropy() == 1.0
     for p_s in np.linspace(0.0, 1.0, 21):
-        rho = werner.density_matrix(werner.from_fidelity(float(p_s)))
+        w = werner.from_fidelity(float(p_s))
+        ok = ok and werner.classify(w).single_entropy == 1.0
+        rho = werner.density_matrix(w)
         for side in ("A", "B"):
             ok = ok and abs(qmat.vn_entropy(qmat.partial_trace(rho, side)) - 1.0) <= 1e-10
     _report(3, "pair-entropy endpoints and unit marginal entropy", ok, started, 1.0)

@@ -37,10 +37,12 @@ def test_pauli_coefficients_rejects_non_hermitian():
 
 
 def test_pauli_reconstruction_roundtrip():
+    # rho = (1/4) sum_ab r[a, b] sigma_a x sigma_b
+    products = np.array([[np.kron(pa, pb) for pb in qmat.PAULIS] for pa in qmat.PAULIS])
     rng = np.random.default_rng(21)
     for _ in range(25):
         rho = random_density_matrix(rng)
-        rebuilt = measures.pauli_reconstruct(measures.pauli_coefficients(rho))
+        rebuilt = np.einsum("ab,abij->ij", measures.pauli_coefficients(rho), products) / 4.0
         assert np.abs(rebuilt - rho).max() <= 1e-12
 
 

@@ -78,9 +78,9 @@ def test_concurrence_monotone():
 
 
 def test_negativity_closed_values():
-    assert werner.negativity_closed(werner.from_fidelity(1.0)) == 1.0
-    assert abs(werner.negativity_closed(werner.from_fidelity(0.9)) - 0.8) <= 1e-15
-    assert werner.negativity_closed(werner.from_fidelity(0.3)) == 0.0
+    assert werner.classify(werner.from_fidelity(1.0)).negativity == 1.0
+    assert abs(werner.classify(werner.from_fidelity(0.9)).negativity - 0.8) <= 1e-15
+    assert werner.classify(werner.from_fidelity(0.3)).negativity == 0.0
 
 
 def test_closed_forms_identical_and_match_general_measures():
@@ -89,7 +89,7 @@ def test_closed_forms_identical_and_match_general_measures():
     for f_s in np.arange(-0.75, 0.25 + 1e-9, 1e-3):
         w = werner.from_correlation(float(f_s))
         closed = werner.concurrence_closed(w)
-        assert closed == werner.negativity_closed(w)
+        assert closed == werner.classify(w).negativity
         rho = werner.density_matrix(w)
         assert abs(measures.concurrence_wootters(rho) - closed) <= 1e-10
         assert abs(measures.negativity_general(rho) - closed) <= 1e-10
@@ -111,7 +111,6 @@ def test_pair_entropy_range_and_concavity():
 
 
 def test_single_entropy_constant():
-    assert werner.single_entropy() == 1.0
     for p_s in (0.0, 0.3, 0.5, 0.75, 1.0):
         rho = werner.density_matrix(werner.from_fidelity(p_s))
         for side in ("A", "B"):
@@ -154,7 +153,7 @@ def test_classify_report_consistency():
 
 
 def test_critical_correlation():
-    f_c = werner.critical_correlation()
+    f_c = werner.CRITICAL_CORRELATION
     assert f_c == -0.25
     assert werner.concurrence_closed(werner.from_correlation(f_c)) == 0.0
     assert werner.from_correlation(f_c).p_s == 0.5
