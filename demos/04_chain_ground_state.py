@@ -22,7 +22,10 @@ print(f"chain of {model.sites} sites, impurities on ({model.xa}, {model.xb}), "
 g = kondo_sim.ground_state(h)
 print(f"{g.method} ground state: E0 = {g.energy:.10f} "
       f"({g.iterations} iterations, residual {g.residual_norm:.1e})")
-print("spin singlet?", kondo_sim.singlet_check(model, g.energy))
+# H commutes with the total spin, so a non-degenerate ground vector has one S:
+# S^2 psi = S(S+1) psi, and the mixing residual ||S^2 psi - <S^2> psi|| is zero
+s2, mixing = kondo_sim.spin_squared(basis, g.amplitudes)
+print(f"total spin: <S^2> = {s2:.1e}, so S = {(np.sqrt(1 + 4 * s2) - 1) / 2:.0f}; mixing residual {mixing:.1e}")
 
 rho = kondo_sim.impurity_rdm(g, basis)
 print("\nimpurity pair density matrix (real part):")

@@ -12,8 +12,10 @@ Formats: ``pretty`` (6 significant digits, human), ``csv`` and ``json``
 (17 significant digits, bit-identical across reruns on one BLAS build and
 thread count; the thread count can move the last digits of ED results).
 Exit codes: 0 success, 2 usage or domain error, 3 I/O error, 4 eigensolver
-not converged, 5 degenerate ground state, 6 no bracket, 7 non-monotone scan
-or a jump of f_s over the target.
+not converged or non-finite arithmetic in the solve, 5 degenerate ground
+state (a gap below the solver's threshold, or for ``simulate`` a ground
+vector that mixes spin multiplets, seen from its S^2), 6 no bracket, 7
+non-monotone scan or a jump of f_s over the target.
 """
 
 from __future__ import annotations
@@ -254,7 +256,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     model = _model_from_args(args)
     a = model.analyze()
     g = a.ground
-    singlet = kondo_sim.singlet_check(model, g.energy)
+    singlet = a.singlet()
     pairs: list[tuple[str, object]] = [(name, getattr(model, name)) for name in _MODEL_FLAGS]
     pairs += [
         ("sector_dim", a.dim),

@@ -74,8 +74,21 @@ DGKS_ETA = 1 / math.sqrt(2)
 #: Two Ritz/eigen values closer than this are treated as a degenerate ground state.
 DEGENERACY_ATOL = 1e-9
 
-#: Energy margin by which the low-S^z sector must win for a singlet verdict.
+#: Energy margin by which the low-S^z sector must win for ``singlet_check``'s verdict.
 SINGLET_MARGIN = 1e-9
+
+#: Largest mixing residual ||S^2 psi - <S^2> psi|| of a ground vector that is
+#: taken as one spin multiplet (1e-3).  A solve stops at a residual
+#: r <= RESIDUAL_RTOL * max(1, |E|), and a vector with residual r holds at most
+#: r / delta of a level delta away; a level whose S(S+1) differs by D then
+#: adds at most D * r / delta to the mixing residual.  So a singlet split by
+#: delta from a triplet (D = 2) passes once delta > 2 * max(1, |E|) *
+#: DEGENERACY_ATOL, the scale of the gap test.  The other way round, a
+#: mixture of two multiplets with minority weight w has a mixing residual of
+#: at least 2 sqrt(w (1 - w)), so every w above 2.5e-7 is caught; and as
+#: S_A . S_B couples no two values of S, a mixture that passes moves f_s by at
+#: most w.
+SPIN_MIXING_ATOL = RESIDUAL_RTOL / DEGENERACY_ATOL
 
 #: ``find_crossing`` refuses a ``tol`` below 2**-MAX_BISECTIONS of the bracket
 #: and takes at most 2 * MAX_BISECTIONS steps after its pre-grid.
@@ -158,13 +171,13 @@ class ChainModel:
         """Solve the natural sector and reduce its ground state to the impurity pair.
 
         This is the one path from a model to f_s: basis, Hamiltonian, ground
-        state, impurity RDM and <S_A . S_B>.  The basis and the Hamiltonian
-        are freed on return, before a caller solves a second sector.
+        state, impurity RDM and <S_A . S_B>.  The Hamiltonian is freed on
+        return; the basis stays with the result for ``Analysis.singlet``.
         """
         basis = build_basis(self)
         g = ground_state(build_hamiltonian(self, basis))
         rho = impurity_rdm(g, basis)
-        return Analysis(dim=basis.dim, ground=g, rho=rho, f_s=measures.spin_correlation(rho))
+        return Analysis(basis=basis, ground=g, rho=rho, f_s=measures.spin_correlation(rho))
 
 
 @dataclass(frozen=True)
@@ -208,8 +221,10 @@ def build_basis(model: ChainModel, sz_total: float | None = None) -> SectorBasis
     every up occupation is joined with every down occupation.
     """
     sz2 = model.default_sz2() if sz_total is None else _sz2_of(sz_total)
-    L = model.sites
-    ne = model.nelec
+    return _sector_basis(model.sites, model.nelec, sz2)
+
+
+def _sector_basis(L: int, ne: int, sz2: int) -> SectorBasis:
     n_orb = 2 * L
     if (ne - sz2) % 2 != 0:
         raise EmptySectorError(f"no states: {ne} electrons plus two impurities cannot reach 2*S^z = {sz2}")
@@ -235,6 +250,20 @@ def _bit(codes: np.ndarray, p: int) -> np.ndarray:
     return (codes >> p) & 1
 
 
+def _apply_term(codes: np.ndarray, src: np.ndarray, flip: int, into: np.ndarray) -> np.ndarray:
+    """Positions (int32) in the sorted codes ``into`` of the states ``codes[src]`` with the bits ``flip`` flipped.
+
+    Every target must be one of ``into``; a missing one means the term leaves
+    the symmetry sector, and TikmError is raised.
+    """
+    target = codes[src] ^ flip
+    j = np.searchsorted(into, target)
+    found = into[np.minimum(j, len(into) - 1)] == target
+    if not found.all():
+        raise TikmError(f"term leaves the symmetry sector (state code {int(target[~found][0])})")
+    return j.astype(np.int32)
+
+
 def build_hamiltonian(model: ChainModel, basis: SectorBasis) -> sparse.csr_matrix:
     """Assemble the sector Hamiltonian as a real symmetric CSR matrix.
 
@@ -242,8 +271,8 @@ def build_hamiltonian(model: ChainModel, basis: SectorBasis) -> sparse.csr_matri
     selects the states it acts on, an XOR flips the bits it changes, and the
     fermionic sign is the parity of the occupied orbitals strictly between
     the two it moves an electron across.  Every target is looked up in the
-    sorted sector codes; a missing target would mean a term leaks out of the
-    symmetry sector and raises immediately.
+    sorted sector codes by ``_apply_term``, which raises on a term that leaks
+    out of the symmetry sector.
     """
     L = model.sites
     n_orb = 2 * L
@@ -256,12 +285,7 @@ def build_hamiltonian(model: ChainModel, basis: SectorBasis) -> sparse.csr_matri
     vals: list[np.ndarray] = []
 
     def emit(src: np.ndarray, flip: int, value) -> None:
-        target = codes[src] ^ flip
-        j = np.searchsorted(codes, target)
-        found = codes[np.minimum(j, len(codes) - 1)] == target
-        if not found.all():
-            raise TikmError(f"term leaves the symmetry sector (state code {int(target[~found][0])})")
-        rows.append(j.astype(np.int32))
+        rows.append(_apply_term(codes, src, flip, codes))
         cols.append(src.astype(np.int32))
         vals.append(np.broadcast_to(value, src.shape))
 
@@ -310,6 +334,54 @@ def build_hamiltonian(model: ChainModel, basis: SectorBasis) -> sparse.csr_matri
     return coo.tocsr()
 
 
+def spin_ladder(basis: SectorBasis, step: int) -> tuple[sparse.csr_matrix, SectorBasis]:
+    """Total S^+ (``step`` = 1) or S^- (``step`` = -1) from ``basis`` into the sector one S^z step away.
+
+    S^+ = S^+_A + S^+_B + sum_i c+_{i,up} c_{i,down}, and S^- is its
+    transpose.  An impurity term flips one impurity bit; an electron term
+    moves an electron between the two spin orbitals of one site, which are
+    adjacent, so no fermion sign arises and every matrix element is 1.
+    Returns the CSR matrix, whose rows index the neighbouring sector, and that
+    sector's basis.
+    """
+    if step not in (1, -1):
+        raise ValueError(f"step must be 1 or -1, got {step!r}")
+    target = _sector_basis(basis.sites, basis.nelec, basis.sz2 + 2 * step)
+    n_orb = basis.n_orbitals
+    codes = basis.codes
+    # (bit that S^+ sets, bit that S^+ clears) per term: impurity A, impurity B,
+    # then the up and down orbitals of each site
+    terms = [(1 << (n_orb + 1), 0), (1 << n_orb, 0)]
+    terms += [(1 << (2 * s), 1 << (2 * s + 1)) for s in range(basis.sites)]
+    rows: list[np.ndarray] = []
+    cols: list[np.ndarray] = []
+    for sets, clears in terms:
+        src = np.flatnonzero((codes & (sets | clears)) == (clears if step > 0 else sets))
+        rows.append(_apply_term(codes, src, sets | clears, target.codes))
+        cols.append(src.astype(np.int32))
+    row = np.concatenate(rows)
+    ladder = sparse.coo_matrix((np.ones(len(row)), (row, np.concatenate(cols))), shape=(target.dim, basis.dim))
+    return ladder.tocsr(), target
+
+
+def spin_squared(basis: SectorBasis, psi: np.ndarray) -> tuple[float, float]:
+    """<S^2> of the unit vector ``psi`` on ``basis``, and its mixing residual ||S^2 psi - <S^2> psi||.
+
+    With S^s the ladder operator that steps away from S^z = 0 (S^+ for
+    S^z >= 0, else S^-) and phi = S^s psi, S^2 = S_z^2 + |S_z| + (S^s)^T S^s
+    gives <S^2> = S_z^2 + |S_z| + ||phi||^2 and a residual vector
+    (S^s)^T phi - ||phi||^2 psi.  H commutes with S^2, so the vector of a
+    non-degenerate level has residual 0; a vector drawn from a degenerate
+    level that spans several S does not (Sandvik, AIP Conf. Proc. 1297, 135
+    (2010), sec. 4).
+    """
+    ladder, _ = spin_ladder(basis, 1 if basis.sz2 >= 0 else -1)
+    phi = ladder @ psi
+    norm2 = float(phi @ phi)
+    sz = abs(basis.sz2) / 2
+    return sz * (sz + 1) + norm2, float(np.linalg.norm(ladder.T @ phi - norm2 * psi))
+
+
 @dataclass
 class GroundStateResult:
     """Lowest eigenpair of one sector, with solver diagnostics."""
@@ -327,10 +399,34 @@ class GroundStateResult:
 class Analysis:
     """A model's natural-sector ground state reduced to the impurity pair."""
 
-    dim: int
+    basis: SectorBasis
     ground: GroundStateResult
     rho: np.ndarray
     f_s: float
+
+    @property
+    def dim(self) -> int:
+        return self.basis.dim
+
+    def singlet(self) -> bool:
+        """The spin verdict on the ground vector, from ``spin_squared``.
+
+        Raises DegenerateGroundError when the mixing residual exceeds
+        SPIN_MIXING_ATOL: the vector mixes the multiplets of a degenerate
+        ground level, which a Lanczos solve returns without a small gap.
+        Otherwise True iff <S^2> = |S^z|(|S^z| + 1), the least S of the sector:
+        a singlet, or a Kramers doublet for an odd electron count.  For one
+        multiplet <S^2> - |S^z|(|S^z| + 1) is 0 or at least 2, so the test
+        splits at 1.
+        """
+        s2, mixing = spin_squared(self.basis, self.ground.amplitudes)
+        if mixing > SPIN_MIXING_ATOL:
+            raise DegenerateGroundError(
+                f"ground vector mixes spin multiplets (<S^2> {s2:.6g}, mixing residual {mixing:.3e}); "
+                "the ground state is degenerate and the reduced state is ill-defined"
+            )
+        sz = abs(self.basis.sz2) / 2
+        return s2 - sz * (sz + 1) < 1.0
 
 
 def _thick_restart_lanczos(h, V):
@@ -420,23 +516,30 @@ def ground_state(h: sparse.csr_matrix) -> GroundStateResult:
     minus the energy; a gap below DEGENERACY_ATOL marks the result
     degenerate.  A single start vector does not see an exactly degenerate
     partner within the sector, so the Lanczos path can miss such a
-    degeneracy.
+    degeneracy; ``Analysis.singlet`` catches it from S^2 when the partner has
+    another S.  Arithmetic that overflows, divides by zero or makes a NaN
+    (couplings near the float limit) also raises NotConvergedError, and so
+    does a LAPACK failure.
     """
     dim = h.shape[0]
     if dim == 0:
         raise EmptySectorError("empty Hamiltonian")
-    if dim <= DENSE_CUTOFF:
-        method, iterations = "dense", 0
-        values, vectors = qmat.hermitian_eig(h.toarray())
-        psi = np.ascontiguousarray(vectors[:, 0])
-        psi /= np.linalg.norm(psi)
-        residual = float(np.linalg.norm(h @ psi - float(values[0]) * psi))
-    else:
-        method = "lanczos"
-        V = np.empty((min(KRYLOV_DIM, dim) + 1, dim))
-        V[0] = np.random.default_rng(LANCZOS_SEED).standard_normal(dim)
-        V[0] /= np.linalg.norm(V[0])
-        values, psi, iterations, _, residual = _thick_restart_lanczos(h, V)
+    method = "dense" if dim <= DENSE_CUTOFF else "lanczos"
+    iterations = 0
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            if method == "dense":
+                values, vectors = qmat.hermitian_eig(h.toarray())
+                psi = np.ascontiguousarray(vectors[:, 0])
+                psi /= np.linalg.norm(psi)
+                residual = float(np.linalg.norm(h @ psi - float(values[0]) * psi))
+            else:
+                V = np.empty((min(KRYLOV_DIM, dim) + 1, dim))
+                V[0] = np.random.default_rng(LANCZOS_SEED).standard_normal(dim)
+                V[0] /= np.linalg.norm(V[0])
+                values, psi, iterations, _, residual = _thick_restart_lanczos(h, V)
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+        raise NotConvergedError(f"{method.capitalize()} solve hit non-finite arithmetic ({exc})") from exc
     energy = float(values[0])
     if not (math.isfinite(energy) and residual <= 1e-8 * max(1.0, abs(energy))):
         raise NotConvergedError(

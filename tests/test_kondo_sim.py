@@ -671,13 +671,81 @@ def test_fs_within_physical_range():
 
 
 def test_singlet_check():
-    def singlet(m):
-        return ks.singlet_check(m, m.analyze().ground.energy)
+    # the second-sector solve and S^2 of the ground vector give one verdict
+    for model, singlet in (
+        (ks.ChainModel(sites=2, nup=0, ndn=0, idirect=1.0), True),
+        (ks.ChainModel(sites=2, nup=0, ndn=0, idirect=-1.0), False),
+        (ks.ChainModel(sites=4, jk=0.5), True),
+        (ks.ChainModel(sites=2, jk=1.0), True),
+    ):
+        a = model.analyze()
+        assert ks.singlet_check(model, a.ground.energy) == singlet
+        assert a.singlet() == singlet
 
-    assert singlet(ks.ChainModel(sites=2, nup=0, ndn=0, idirect=1.0))
-    assert not singlet(ks.ChainModel(sites=2, nup=0, ndn=0, idirect=-1.0))
-    assert singlet(ks.ChainModel(sites=4, jk=0.5))
-    assert singlet(ks.ChainModel(sites=2, jk=1.0))
+
+def test_spin_squared_of_two_free_spins():
+    # no electrons: the basis is |du>, |ud> (impurity A is the higher bit); the
+    # product state |du> is half singlet, half triplet
+    basis = ks.build_basis(ks.ChainModel(sites=2, nup=0, ndn=0), 0)
+    r = 1 / math.sqrt(2)
+    for psi, s2, mixing in (([r, -r], 0.0, 0.0), ([r, r], 2.0, 0.0), ([1.0, 0.0], 1.0, 1.0)):
+        got = ks.spin_squared(basis, np.array(psi))
+        assert got == pytest.approx((s2, mixing), abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "sites, jk, verdict",
+    [(5, 0.0, "degenerate"), (5, 0.5, False), (6, 0.0, "degenerate"), (6, 0.5, True)],
+)
+def test_dense_and_lanczos_agree_on_the_spin_verdict(monkeypatch, sites, jk, verdict):
+    # at jk = 0 the impurities are free: the dense gap shows the degenerate
+    # level, and the Lanczos vector, whose gap may not, fails the S^2 check;
+    # 4 electrons on 5 sites at jk = 0.5 have a triplet ground state
+    model = ks.ChainModel(sites=sites, jk=jk)
+    verdicts = []
+    for path, cutoff in (("dense", 10**6), ("lanczos", 0)):
+        monkeypatch.setattr(ks, "DENSE_CUTOFF", cutoff)
+        try:
+            a = model.analyze()
+            assert a.ground.method == path
+            verdicts.append(a.singlet())
+        except DegenerateGroundError:
+            verdicts.append("degenerate")
+    assert verdicts == [verdict] * 2
+
+
+def test_singlet_refuses_a_vector_that_mixes_multiplets():
+    a = ks.ChainModel(sites=2, nup=0, ndn=0, idirect=1.0).analyze()
+    a.ground.amplitudes = np.array([1.0, 0.0])
+    with pytest.raises(DegenerateGroundError, match="mixes spin multiplets"):
+        a.singlet()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_small_models())
+@example(ks.ChainModel(sites=6, jk=0.7, idirect=0.2))  # dim 1250: the Lanczos path
+@example(ks.ChainModel(sites=6, jk=1.2, xa=1, xb=4, nup=4, ndn=3))  # dim 990, odd count
+def test_spin_squared_verdict_matches_singlet_check(model):
+    basis = ks.build_basis(model)
+    levels = np.linalg.eigvalsh(ks.build_hamiltonian(model, basis).toarray())
+    if len(levels) > 1 and levels[1] - levels[0] < 1e-6:
+        return  # degenerate within the sector: neither verdict is defined
+    a = model.analyze()
+    assert a.singlet() == ks.singlet_check(model, a.ground.energy)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_small_models(), st.sampled_from((1, -1)))
+def test_spin_ladder_commutes_with_the_hamiltonian(model, step):
+    # H_{S^z+1} S^+ = S^+ H_{S^z} (and the same for S^-) checks the SU(2)
+    # invariance of every term the builder emits; S^- is the transpose of S^+
+    basis = ks.build_basis(model)
+    ladder, target = ks.spin_ladder(basis, step)
+    lhs = ks.build_hamiltonian(model, target) @ ladder
+    rhs = ladder @ ks.build_hamiltonian(model, basis)
+    assert abs(lhs - rhs).max() <= 1e-12 * max(1.0, model.jk, abs(model.idirect))
+    back, home = ks.spin_ladder(target, -step)
+    assert np.array_equal(home.codes, basis.codes) and (back != ladder.T).nnz == 0
 
 
 # ---------------------------------------------------------------- sweep
