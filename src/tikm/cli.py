@@ -13,9 +13,10 @@ Formats: ``pretty`` (6 significant digits, human), ``csv`` and ``json``
 thread count; the thread count can move the last digits of ED results).
 Exit codes: 0 success, 2 usage or domain error, 3 I/O error, 4 eigensolver
 not converged or non-finite arithmetic in the solve, 5 degenerate ground
-state (a gap below the solver's threshold, or for ``simulate`` a ground
-vector that mixes spin multiplets, seen from its S^2), 6 no bracket, 7
-non-monotone scan or a jump of f_s over the target.
+state (a gap below the solver's threshold, or for ``simulate`` and at any
+point ``critical`` solves a ground vector that mixes spin multiplets, seen
+from its S^2), 6 no bracket, 7 non-monotone scan or a jump of f_s over the
+target.
 """
 
 from __future__ import annotations
@@ -282,6 +283,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_critical(args: argparse.Namespace) -> int:
     model = _model_from_args(args)
+    # the search and the closing solve at its value share one assembly
+    line = kondo_sim.CouplingLine(model, args.param)
     value = kondo_sim.find_crossing(
         model,
         args.param,
@@ -289,8 +292,9 @@ def cmd_critical(args: argparse.Namespace) -> int:
         args.max,
         target_fs=args.target_fs,
         tol=args.tol,
+        line=line,
     )
-    f_s = kondo_sim.point_correlation(model, args.param, value)
+    f_s = line.correlation(value)
     pairs: list[tuple[str, object]] = [
         ("param", args.param),
         ("value", value),

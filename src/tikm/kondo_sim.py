@@ -29,8 +29,9 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 import scipy.sparse as sparse
@@ -170,14 +171,13 @@ class ChainModel:
     def analyze(self) -> Analysis:
         """Solve the natural sector and reduce its ground state to the impurity pair.
 
-        This is the one path from a model to f_s: basis, Hamiltonian, ground
-        state, impurity RDM and <S_A . S_B>.  The Hamiltonian is freed on
-        return; the basis stays with the result for ``Analysis.singlet``.
+        This is the path from a model to f_s: basis, Hamiltonian, ground
+        state, impurity RDM and <S_A . S_B>; ``CouplingLine.analyze`` shares
+        all but the assembly.  The Hamiltonian is freed once solved; the basis
+        stays with the result for ``Analysis.singlet``.
         """
         basis = build_basis(self)
-        g = ground_state(build_hamiltonian(self, basis))
-        rho = impurity_rdm(g, basis)
-        return Analysis(basis=basis, ground=g, rho=rho, f_s=measures.spin_correlation(rho))
+        return _reduce(basis, ground_state(build_hamiltonian(self, basis)))
 
 
 @dataclass(frozen=True)
@@ -196,6 +196,18 @@ class SectorBasis:
     @property
     def n_orbitals(self) -> int:
         return 2 * self.sites
+
+    @cached_property
+    def s2_ladder(self) -> sparse.csr_matrix:
+        """The ladder operator ``spin_squared`` applies: S^+ for S^z >= 0, else S^-; built once per basis."""
+        return spin_ladder(self, 1 if self.sz2 >= 0 else -1)[0]
+
+    @cached_property
+    def rdm_index(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """Where ``impurity_rdm`` puts each amplitude: (electron configuration row, impurity column, rows)."""
+        n_orb = self.n_orbitals
+        uniq, inverse = np.unique(self.codes & ((1 << n_orb) - 1), return_inverse=True)
+        return inverse.astype(np.int32), np.array(_IMP_TO_BASIS, dtype=np.int8)[self.codes >> n_orb], len(uniq)
 
 
 def _sz2_of(sz_total: float) -> int:
@@ -264,15 +276,20 @@ def _apply_term(codes: np.ndarray, src: np.ndarray, flip: int, into: np.ndarray)
     return j.astype(np.int32)
 
 
-def build_hamiltonian(model: ChainModel, basis: SectorBasis) -> sparse.csr_matrix:
-    """Assemble the sector Hamiltonian as a real symmetric CSR matrix.
+def _terms(model: ChainModel, basis: SectorBasis) -> Iterator[tuple[str, np.ndarray | None, np.ndarray | None, object]]:
+    """The terms of the sector Hamiltonian at the model's couplings, each tagged with its coupling.
 
-    Each off-diagonal term is applied to all basis codes at once: a mask
-    selects the states it acts on, an XOR flips the bits it changes, and the
+    Yields (coupling, rows, cols, values), ``coupling`` being "hopping", "jk"
+    or "idirect": for an off-diagonal term its positions and values (one per
+    entry, or one for all), for a diagonal part rows and cols None and one
+    value per basis state.  A coupling that is zero yields nothing.  Each
+    off-diagonal term is applied to all basis codes at once: a mask selects
+    the states it acts on, an XOR flips the bits it changes, and the
     fermionic sign is the parity of the occupied orbitals strictly between
     the two it moves an electron across.  Every target is looked up in the
     sorted sector codes by ``_apply_term``, which raises on a term that leaks
-    out of the symmetry sector.
+    out of the symmetry sector.  No two off-diagonal terms reach one entry:
+    each flips its own set of bits.
     """
     L = model.sites
     n_orb = 2 * L
@@ -280,18 +297,12 @@ def build_hamiltonian(model: ChainModel, basis: SectorBasis) -> sparse.csr_matri
     jk = model.jk
     idir = model.idirect
     codes = basis.codes
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
 
-    def emit(src: np.ndarray, flip: int, value) -> None:
-        rows.append(_apply_term(codes, src, flip, codes))
-        cols.append(src.astype(np.int32))
-        vals.append(np.broadcast_to(value, src.shape))
+    def term(coupling: str, src: np.ndarray, flip: int, value):
+        return coupling, _apply_term(codes, src, flip, codes), src.astype(np.int32), value
 
     a_up = _bit(codes, n_orb + 1)
     b_up = _bit(codes, n_orb)
-    diag = np.zeros(basis.dim)
 
     if t != 0.0:
         for s in range(L - 1):
@@ -300,38 +311,53 @@ def build_hamiltonian(model: ChainModel, basis: SectorBasis) -> sparse.csr_matri
                 between = ((1 << q) - 1) & ~((1 << (p + 1)) - 1)
                 src = np.flatnonzero(_bit(codes, p) != _bit(codes, q))
                 odd = np.bitwise_count(codes[src] & between) & 1
-                emit(src, (1 << p) | (1 << q), np.where(odd == 1, t, -t))
+                yield term("hopping", src, (1 << p) | (1 << q), np.where(odd == 1, t, -t))
 
     if jk != 0.0:
         for x, up, imp_flip in ((model.xa, a_up, 2), (model.xb, b_up, 1)):
             n_u = _bit(codes, 2 * x)
             n_d = _bit(codes, 2 * x + 1)
             s_imp = np.where(up, 0.5, -0.5)
-            diag += jk * s_imp * 0.5 * (n_u - n_d)
+            yield "jk", None, None, jk * s_imp * 0.5 * (n_u - n_d)
             # S- s+ lowers an up impurity and raises a down electron, S+ s- the
             # reverse; both orbitals sit on one site, so no sign arises
             src = np.flatnonzero((n_u != n_d) & (up == n_d))
-            emit(src, (imp_flip << n_orb) | (3 << (2 * x)), 0.5 * jk)
+            yield term("jk", src, (imp_flip << n_orb) | (3 << (2 * x)), 0.5 * jk)
 
     if idir != 0.0:
-        diag += idir * np.where(a_up, 0.5, -0.5) * np.where(b_up, 0.5, -0.5)
+        yield "idirect", None, None, idir * np.where(a_up, 0.5, -0.5) * np.where(b_up, 0.5, -0.5)
         # (S+_A S-_B + S-_A S+_B)/2 swaps the two impurity spins
-        emit(np.flatnonzero(a_up != b_up), 3 << n_orb, 0.5 * idir)
+        yield term("idirect", np.flatnonzero(a_up != b_up), 3 << n_orb, 0.5 * idir)
+
+
+def build_hamiltonian(model: ChainModel, basis: SectorBasis) -> sparse.csr_matrix:
+    """Assemble the sector Hamiltonian as a real symmetric CSR matrix from the terms of ``_terms``."""
+    rows: list[np.ndarray] = []
+    cols: list[np.ndarray] = []
+    vals: list[np.ndarray] = []
+    diag = np.zeros(basis.dim)
+    for _, row, col, value in _terms(model, basis):
+        if row is None:
+            diag += value
+        else:
+            rows.append(row)
+            cols.append(col)
+            vals.append(np.broadcast_to(value, col.shape))
 
     src = np.flatnonzero(diag != 0.0)
     rows.append(src.astype(np.int32))
     cols.append(src.astype(np.int32))
     vals.append(diag[src])
 
-    def joined(parts: list[np.ndarray]) -> np.ndarray:
-        # drop the per-term arrays as soon as they are copied, so they are
-        # gone before the CSR conversion allocates its own copy
-        out = np.concatenate(parts)
-        parts.clear()
-        return out
-
-    coo = sparse.coo_matrix((joined(vals), (joined(rows), joined(cols))), shape=(basis.dim, basis.dim))
+    coo = sparse.coo_matrix((_joined(vals), (_joined(rows), _joined(cols))), shape=(basis.dim, basis.dim))
     return coo.tocsr()
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """The arrays of ``parts`` joined; the list is emptied, so they are gone before a CSR conversion copies them."""
+    out = np.concatenate(parts)
+    parts.clear()
+    return out
 
 
 def spin_ladder(basis: SectorBasis, step: int) -> tuple[sparse.csr_matrix, SectorBasis]:
@@ -375,7 +401,7 @@ def spin_squared(basis: SectorBasis, psi: np.ndarray) -> tuple[float, float]:
     level that spans several S does not (Sandvik, AIP Conf. Proc. 1297, 135
     (2010), sec. 4).
     """
-    ladder, _ = spin_ladder(basis, 1 if basis.sz2 >= 0 else -1)
+    ladder = basis.s2_ladder
     phi = ladder @ psi
     norm2 = float(phi @ phi)
     sz = abs(basis.sz2) / 2
@@ -427,6 +453,12 @@ class Analysis:
             )
         sz = abs(self.basis.sz2) / 2
         return s2 - sz * (sz + 1) < 1.0
+
+
+def _reduce(basis: SectorBasis, g: GroundStateResult) -> Analysis:
+    """The Analysis of the ground state ``g`` on ``basis``: its impurity RDM and f_s."""
+    rho = impurity_rdm(g, basis)
+    return Analysis(basis=basis, ground=g, rho=rho, f_s=measures.spin_correlation(rho))
 
 
 def _thick_restart_lanczos(h, V):
@@ -592,13 +624,9 @@ def impurity_rdm(g: GroundStateResult, basis: SectorBasis) -> np.ndarray:
         )
     if len(g.amplitudes) != basis.dim:
         raise ValueError("state vector does not match basis dimension")
-    n_orb = basis.n_orbitals
-    occ = basis.codes & ((1 << n_orb) - 1)
-    imp = basis.codes >> n_orb
-    uniq, inverse = np.unique(occ, return_inverse=True)
-    m = np.zeros((len(uniq), 4), dtype=complex)
-    cols = np.array(_IMP_TO_BASIS, dtype=np.int64)[imp]
-    m[inverse, cols] = g.amplitudes
+    rows, cols, n_rows = basis.rdm_index
+    m = np.zeros((n_rows, 4), dtype=complex)
+    m[rows, cols] = g.amplitudes
     rho = m.T @ m.conj()
     rho = 0.5 * (rho + rho.conj().T)
     rho /= rho.trace().real
@@ -643,6 +671,9 @@ def _analyze_point(model: ChainModel, param: str, value: float) -> SweepPoint:
     try:
         m = model_at(model, param, value)
         a = m.analyze()
+        if a.ground.method == "lanczos":
+            # a dense solve's exact gap already refuses an in-sector degeneracy
+            a.singlet()
         singlet = singlet_check(m, a.ground.energy)
         return SweepPoint(
             value=float(value),
@@ -669,11 +700,13 @@ def sweep(
     thread pool made every sweep slower: each point is a short solve, so the
     threads contended for the interpreter lock and the two-thread BLAS.
     ``max_workers`` is accepted for existing callers and ignored.  Points
-    whose ground state is degenerate within its sector, or that fail for any
-    other reason, come back with ``error`` set instead of aborting the
-    sweep.  A ground multiplet that merely extends across S^z
-    sectors (e.g. a ferromagnetically locked triplet, where every member
-    shares f_s = +1/4) is reported with ``degenerate=True``.
+    whose ground state is degenerate within its sector (on the Lanczos path
+    also a ground vector that mixes spin multiplets, see
+    ``Analysis.singlet``), or that fail for any other reason, come back with
+    ``error`` set instead of aborting the sweep.  A ground multiplet that
+    merely extends across S^z sectors (e.g. a ferromagnetically locked
+    triplet, where every member shares f_s = +1/4) is reported with
+    ``degenerate=True``.
     """
     if param not in _SWEEP_PARAMS:
         raise ValueError(f"param must be one of {_SWEEP_PARAMS}, got {param!r}")
@@ -685,6 +718,100 @@ def point_correlation(model: ChainModel, param: str, value: float) -> float:
     return model_at(model, param, value).analyze().f_s
 
 
+class CouplingLine:
+    """A model's sector Hamiltonian along one coupling p: H(p) = H_rest + p * H_p, assembled once.
+
+    ``param`` names p, ``jk`` or ``idirect``; the other couplings keep the
+    model's values.  One pass of the term loop at p = 1 gives both parts,
+    laid on one CSR pattern, the union of theirs.  The line keeps one matrix
+    on it and, for the entries that p scales, their H_p values and the H_rest
+    values beside them; a point rewrites only those entries, as rest + p *
+    unit.  Where H(p) has no entry the pattern can hold an explicit zero;
+    dropping those gives build_hamiltonian(model_at(model, param, p)) bit for
+    bit.  Every entry that p scales is p times a power of two, so scaling
+    rounds nothing (short of subnormal results), and a diagonal entry adds
+    one rest value to it, as the builder does.  An explicit zero adds an
+    exact zero to a matrix-vector product in the same column order, so a
+    solve on H(p) matches one on the rebuilt matrix too.  The basis, with the
+    RDM index and the S^2 ladder it caches, serves every point.  A line is
+    not for use from two threads at once.
+    """
+
+    def __init__(self, model: ChainModel, param: str) -> None:
+        if param not in ("jk", "idirect"):
+            raise ValueError(f"a coupling line runs along jk or idirect, got {param!r}")
+        self.model = model
+        self.param = param
+        self.basis = basis = build_basis(model)
+        dim = basis.dim
+        # every entry of the pattern: its row, its column and its H_rest value
+        # (0 where only H_p has one), and the entries that p scales with their
+        # H_p values, numbered in the order they are appended
+        rows: list[np.ndarray] = []
+        cols: list[np.ndarray] = []
+        rest: list[np.ndarray] = []
+        scaled: list[np.ndarray] = []
+        unit: list[np.ndarray] = []
+        diag = {False: np.zeros(dim), True: np.zeros(dim)}
+        n = 0
+        for coupling, row, col, value in _terms(model_at(model, param, 1.0), basis):
+            if row is None:
+                diag[coupling == param] += value
+                continue
+            rows.append(row)
+            cols.append(col)
+            value = np.broadcast_to(value, col.shape)
+            if coupling == param:
+                rest.append(np.zeros(len(col)))
+                scaled.append(np.arange(n, n + len(col), dtype=np.int32))
+                unit.append(value)
+            else:
+                rest.append(value)
+            n += len(col)
+        src = np.flatnonzero((diag[False] != 0.0) | (diag[True] != 0.0)).astype(np.int32)
+        rows.append(src)
+        cols.append(src)
+        rest.append(diag[False][src])
+        on = np.flatnonzero(diag[True][src])
+        scaled.append((n + on).astype(np.int32))
+        unit.append(diag[True][src][on])
+        n += len(src)
+        # a CSR matrix of entry numbers gives the pattern, and its data the
+        # entry number at each CSR position
+        order = sparse.coo_matrix((np.arange(n, dtype=np.int32), (_joined(rows), _joined(cols))), shape=(dim, dim))
+        order = order.tocsr()
+        data = _joined(rest)[order.data]
+        position = np.empty(n, dtype=np.int32)
+        position[order.data] = np.arange(n, dtype=np.int32)
+        self._scaled = position[_joined(scaled)]
+        self._unit = _joined(unit)
+        self._rest = data[self._scaled]
+        self._h = sparse.csr_matrix((data, order.indices, order.indptr), shape=(dim, dim))
+
+    def _at(self, value: float) -> sparse.csr_matrix:
+        """The line's own matrix, set to H(value); it changes with the next point."""
+        p = getattr(model_at(self.model, self.param, value), self.param)
+        self._h.data[self._scaled] = self._rest + p * self._unit
+        return self._h
+
+    def hamiltonian(self, value: float) -> sparse.csr_matrix:
+        """H at ``param`` = ``value`` on the line's pattern, as a matrix of its own.
+
+        ``value`` is checked as ``ChainModel`` checks that coupling.
+        """
+        return self._at(value).copy()
+
+    def analyze(self, value: float) -> Analysis:
+        """``model_at(model, param, value).analyze()``, solved on H(value)."""
+        return _reduce(self.basis, ground_state(self._at(value)))
+
+    def correlation(self, value: float) -> float:
+        """f_s at ``value``, once ``Analysis.singlet`` has refused a ground vector that mixes spin multiplets."""
+        a = self.analyze(value)
+        a.singlet()
+        return a.f_s
+
+
 def find_crossing(
     model: ChainModel,
     param: str,
@@ -692,8 +819,15 @@ def find_crossing(
     hi: float,
     target_fs: float = werner.CRITICAL_CORRELATION,
     tol: float = 1e-6,
+    line: CouplingLine | None = None,
 ) -> float:
     """Find the parameter value where f_s crosses ``target_fs``.
+
+    Every point is solved on one ``CouplingLine`` of ``model`` along
+    ``param`` (``jk`` or ``idirect``): ``line`` when given, which must be
+    that line, so a caller can solve more points on it; else one built once
+    the inputs pass their checks.  A point whose ground vector mixes spin
+    multiplets raises DegenerateGroundError (``CouplingLine.correlation``).
 
     Monotonicity of f_s is checked on an evenly spaced pre-grid of
     2**PRE_GRID_LEVELS + 1 points (NonMonotoneError lists the offending
@@ -735,8 +869,12 @@ def find_crossing(
         raise ValueError(f"tol {tol!r} is below the float resolution of [{lo}, {hi}]")
     if not math.isfinite(target_fs):
         raise ValueError(f"target_fs must be finite, got {target_fs!r}")
+    if line is None:
+        line = CouplingLine(model, param)
+    elif (line.model, line.param) != (model, param):
+        raise ValueError(f"line runs along {line.param} of {line.model}, not along {param} of {model}")
     xs = np.linspace(lo, hi, 2**PRE_GRID_LEVELS + 1).tolist()
-    fs = [point_correlation(model, param, x) for x in xs]
+    fs = [line.correlation(x) for x in xs]
     direction = np.sign(fs[-1] - fs[0])
     offending = [
         (xs[k], fs[k], xs[k + 1], fs[k + 1])
@@ -770,7 +908,7 @@ def find_crossing(
             if a < estimate < b:
                 x = min(max(estimate, a + 0.5 * tol), b - 0.5 * tol)
         width_before_last, width_last = width_last, width
-        g_x = point_correlation(model, param, x) - target_fs
+        g_x = line.correlation(x) - target_fs
         if abs(g_x) < 1e-12:
             return x
         x_old, g_old, x_new, g_new = x_new, g_new, x, g_x

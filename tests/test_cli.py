@@ -401,6 +401,34 @@ def test_critical_jump_exit(capsys):
     assert code == 7 and "jumps" in err and out == ""
 
 
+def test_critical_refuses_a_mixed_ground_vector(capsys):
+    # at jk = 0 the impurities are free, and at idirect = 0, a pre-grid point of
+    # [-0.5, 1.5], singlet and triplet are degenerate; the Lanczos vector mixes
+    # them, and its f_s 0.2006 read as a jump (exit 7) before the S^2 check
+    code, out, err = run(capsys, "critical", "--sites", "6", "--param", "idirect", "--jk", "0",
+                         "--min", "-0.5", "--max", "1.5", "--format", "json")
+    assert code == 5 and "mixes spin multiplets" in err and out == ""
+
+
+def test_critical_free_impurities_jump_exit(capsys):
+    # no pre-grid point of [-0.4, 1.3] lands on idirect = 0, and the points
+    # beside it are pure: f_s jumps from 1/4 to -3/4 there
+    code, out, err = run(capsys, "critical", "--sites", "6", "--param", "idirect", "--jk", "0",
+                         "--min", "-0.4", "--max", "1.3", "--format", "json")
+    assert code == 7 and "jumps" in err and "from 0.250000 to -0.750000" in err and out == ""
+
+
+def test_critical_assembles_once(capsys, monkeypatch):
+    passes = []
+    terms = kondo_sim._terms
+    monkeypatch.setattr(kondo_sim, "_terms", lambda model, basis: passes.append(model) or terms(model, basis))
+    code, _, err = run(capsys, "critical", "--sites", "4", "--param", "idirect", "--jk", "3",
+                       "--min", "-0.2", "--max", "1.5", "--format", "json")
+    assert code == 0, err
+    # the search and the closing solve share one pass, at idirect = 1
+    assert passes == [kondo_sim.ChainModel(sites=4, jk=3.0, idirect=1.0)]
+
+
 def test_critical_rejects_non_finite_target(capsys):
     code, out, err = run(capsys, "critical", "--sites", "2", "--param", "jk", "--min", "1", "--max", "2",
                          "--target-fs", "nan", "--format", "json")
@@ -409,7 +437,7 @@ def test_critical_rejects_non_finite_target(capsys):
 
 def test_critical_rejects_non_finite_tol(capsys, monkeypatch):
     calls = []
-    monkeypatch.setattr(kondo_sim, "point_correlation", lambda model, param, value: calls.append(value) or 0.0)
+    monkeypatch.setattr(kondo_sim.CouplingLine, "correlation", lambda line, value: calls.append(value) or 0.0)
     code, out, err = run(capsys, "critical", "--sites", "4", "--param", "jk", "--min", "0.5", "--max", "6",
                          "--tol", "inf", "--format", "json")
     assert code == 2 and "must be finite" in err and out == ""
@@ -419,7 +447,7 @@ def test_critical_rejects_non_finite_tol(capsys, monkeypatch):
 @pytest.mark.parametrize("bounds", [("0.5", "inf"), ("0.5", "nan"), ("-inf", "2")])
 def test_critical_rejects_non_finite_bounds(capsys, monkeypatch, bounds):
     calls = []
-    monkeypatch.setattr(kondo_sim, "point_correlation", lambda model, param, value: calls.append(value) or 0.0)
+    monkeypatch.setattr(kondo_sim.CouplingLine, "correlation", lambda line, value: calls.append(value) or 0.0)
     code, out, err = run(capsys, "critical", "--sites", "4", "--param", "jk", f"--min={bounds[0]}",
                          f"--max={bounds[1]}", "--format", "json")
     assert code == 2 and "must be finite" in err and out == ""

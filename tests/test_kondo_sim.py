@@ -748,6 +748,77 @@ def test_spin_ladder_commutes_with_the_hamiltonian(model, step):
     assert np.array_equal(home.codes, basis.codes) and (back != ladder.T).nnz == 0
 
 
+# ---------------------------------------------------------------- coupling line
+
+
+@st.composite
+def _line_points(draw):
+    """A random L <= 6 model (placement, filling, couplings, hopping), a coupling, a value on it and a solver path.
+
+    The value is 0 or at least 1e-3 in size, so no scaled entry is subnormal;
+    ``idirect`` takes either sign.
+    """
+    model = replace(draw(_small_models()), hopping=draw(st.sampled_from((1.0, 0.0, 0.6))))
+    param = draw(st.sampled_from(("jk", "idirect")))
+    size = draw(st.one_of(st.just(0.0), st.floats(1e-3, 3.0)))
+    sign = draw(st.sampled_from((1.0, -1.0))) if param == "idirect" else 1.0
+    return model, param, sign * size, draw(st.sampled_from(("dense", "lanczos")))
+
+
+def _outcome(analyze):
+    try:
+        a = analyze()
+    except TikmError as exc:
+        return type(exc), str(exc)
+    return a.ground.method, a.ground.energy, a.f_s
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_line_points())
+@example((ks.ChainModel(sites=6, jk=2.0), "jk", 0.0, "lanczos"))  # dim 1250, only explicit zeros on the line
+@example((ks.ChainModel(sites=6, jk=1.1, idirect=0.3, xa=0, xb=5), "idirect", -0.8, "lanczos"))
+@example((ks.ChainModel(sites=5, jk=0.7, nup=3, ndn=2), "idirect", 0.0, "dense"))
+@example((ks.ChainModel(sites=4, jk=0.9, idirect=0.4, xa=1, xb=1), "jk", 1.7, "dense"))  # shared site
+def test_coupling_line_equals_a_rebuild(case):
+    # H(p) = H_rest + p * H_p is exact: without its explicit zeros it is the
+    # rebuilt matrix array for array, and the solves on both agree to the bit
+    model, param, value, path = case
+    line = ks.CouplingLine(model, param)
+    h = line.hamiltonian(value)
+    h.eliminate_zeros()  # in place: the line's own pattern must not change with it
+    rebuilt = ks.model_at(model, param, value)
+    ref = ks.build_hamiltonian(rebuilt, ks.build_basis(rebuilt))
+    for part in ("indptr", "indices", "data"):
+        got, want = getattr(h, part), getattr(ref, part)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), part
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ks, "DENSE_CUTOFF", line.basis.dim - (path == "lanczos"))
+        got = _outcome(lambda: line.analyze(value))
+        assert got == _outcome(rebuilt.analyze)
+    assert got[0] == path if isinstance(got[0], str) else issubclass(got[0], TikmError)
+
+
+def test_coupling_line_checks_its_coupling_and_values():
+    model = ks.ChainModel(sites=4, jk=0.5)
+    for param in ("separation", "hopping"):
+        with pytest.raises(ValueError, match="jk or idirect"):
+            ks.CouplingLine(model, param)
+    line = ks.CouplingLine(model, "jk")
+    for value in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="jk must be"):
+            line.hamiltonian(value)
+
+
+@pytest.mark.parametrize("model", [ks.ChainModel(sites=6), ks.ChainModel(sites=6, hopping=0.0, jk=1.0)], ids=["free", "no-hopping"])
+def test_coupling_line_refuses_a_mixed_ground_vector(model):
+    # at idirect = 0 both models have a degenerate ground level whose Lanczos
+    # vector mixes spin multiplets, with no small gap to show it
+    line = ks.CouplingLine(model, "idirect")
+    assert line.analyze(0.0).ground.method == "lanczos"
+    with pytest.raises(DegenerateGroundError, match="mixes spin multiplets"):
+        line.correlation(0.0)
+
+
 # ---------------------------------------------------------------- sweep
 
 
@@ -821,6 +892,15 @@ def test_sweep_records_non_finite_separation_as_errors():
         ks.point_correlation(ks.ChainModel(sites=4), "separation", math.inf)
 
 
+@pytest.mark.parametrize("model", [ks.ChainModel(sites=6), ks.ChainModel(sites=6, hopping=0.0, jk=1.0)], ids=["free", "no-hopping"])
+def test_sweep_refuses_a_mixed_lanczos_vector(model):
+    # the S^z + 1 sector verdict alone reported these points, f_s 0.2006 and
+    # -3.4e-17 of a mixed vector, with error unset
+    (point,) = ks.sweep(model, "idirect", [0.0])
+    assert point.error.startswith("DegenerateGroundError") and "mixes spin multiplets" in point.error
+    assert point.f_s is None
+
+
 def test_sweep_rejects_unknown_parameter():
     with pytest.raises(ValueError):
         ks.sweep(ks.ChainModel(sites=2), "hopping", [1.0])
@@ -874,7 +954,7 @@ def test_find_crossing_rejects_bad_tol(monkeypatch):
             ks.find_crossing(m, "jk", 1.0, 2.0, tol=tol)
     # a tol below the float spacing cannot be reached and is refused before any solve
     calls = []
-    monkeypatch.setattr(ks, "point_correlation", lambda model, param, value, **kw: calls.append(value) or -0.5)
+    monkeypatch.setattr(ks.CouplingLine, "correlation", lambda line, value: calls.append(value) or -0.5)
     with pytest.raises(ValueError, match="float resolution"):
         ks.find_crossing(m, "jk", 1.0, 2.0, tol=1e-17)
     assert calls == []
@@ -882,7 +962,7 @@ def test_find_crossing_rejects_bad_tol(monkeypatch):
 
 def test_find_crossing_rejects_jump(monkeypatch):
     # f_s steps over the target at 1.3; the pre-grid sees a monotone rise
-    monkeypatch.setattr(ks, "point_correlation", lambda model, param, value, **kw: -0.5 if value < 1.3 else 0.0)
+    monkeypatch.setattr(ks.CouplingLine, "correlation", lambda line, value: -0.5 if value < 1.3 else 0.0)
     with pytest.raises(NonMonotoneError, match="jumps") as info:
         ks.find_crossing(ks.ChainModel(sites=2), "jk", 1.0, 2.0, tol=1e-4)
     ((a, f_a, b, f_b),) = info.value.points
@@ -892,10 +972,10 @@ def test_find_crossing_rejects_jump(monkeypatch):
 
 def test_find_crossing_accepts_steep_continuous_crossing(monkeypatch):
     # slope at the crossing is five times the secant slope over the bracket
-    def steep(model, param, value, **kw):
+    def steep(line, value):
         return -0.25 + 0.5 * math.tanh(10.0 * (value - 1.37))
 
-    monkeypatch.setattr(ks, "point_correlation", steep)
+    monkeypatch.setattr(ks.CouplingLine, "correlation", steep)
     root = ks.find_crossing(ks.ChainModel(sites=2), "jk", 1.0, 2.0, tol=1e-6)
     assert abs(root - 1.37) <= 1e-6
 
@@ -918,11 +998,11 @@ def _smooth_monotone(lo, width, sign, slope, steps):
 def _count_solves(monkeypatch, f):
     calls = []
 
-    def counting(model, param, value):
+    def counting(line, value):
         calls.append(value)
         return f(value)
 
-    monkeypatch.setattr(ks, "point_correlation", counting)
+    monkeypatch.setattr(ks.CouplingLine, "correlation", counting)
     return calls
 
 
@@ -1008,7 +1088,7 @@ def test_find_crossing_step_function_raises_jump(lo, share, log_tol):
     # f_s steps over the target at a random point of [lo, lo + 1]
     edge, tol = lo + share, 10.0**log_tol
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ks, "point_correlation", lambda model, param, value: -0.5 if value < edge else 0.0)
+        mp.setattr(ks.CouplingLine, "correlation", lambda line, value: -0.5 if value < edge else 0.0)
         with pytest.raises(NonMonotoneError, match="jumps") as info:
             ks.find_crossing(ks.ChainModel(sites=2), "jk", lo, lo + 1.0, tol=tol)
     ((a, _, b, _),) = info.value.points
@@ -1025,11 +1105,18 @@ def test_find_crossing_on_the_lanczos_path():
     assert abs(value - 1.6936836242675781) < tol  # the crossing found by plain bisection
 
 
+def test_find_crossing_refuses_a_line_of_another_model():
+    m = ks.ChainModel(sites=2)
+    for line in (ks.CouplingLine(m, "idirect"), ks.CouplingLine(replace(m, idirect=0.5), "jk")):
+        with pytest.raises(ValueError, match="line runs along"):
+            ks.find_crossing(m, "jk", 1.0, 2.0, tol=1e-4, line=line)
+
+
 def test_find_crossing_non_monotone(monkeypatch):
-    def fake(model, param, value, **kw):
+    def fake(line, value):
         return float(np.sin(6.0 * value))
 
-    monkeypatch.setattr(ks, "point_correlation", fake)
+    monkeypatch.setattr(ks.CouplingLine, "correlation", fake)
     with pytest.raises(NonMonotoneError) as info:
         ks.find_crossing(ks.ChainModel(sites=2), "jk", 0.0, 2.0)
     assert info.value.points
