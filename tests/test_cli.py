@@ -420,8 +420,8 @@ def test_critical_free_impurities_jump_exit(capsys):
 
 def test_critical_assembles_once(capsys, monkeypatch):
     passes = []
-    terms = kondo_sim._terms
-    monkeypatch.setattr(kondo_sim, "_terms", lambda model, basis: passes.append(model) or terms(model, basis))
+    terms = kondo_sim._hamiltonian_terms
+    monkeypatch.setattr(kondo_sim, "_hamiltonian_terms", lambda model, *args: passes.append(model) or terms(model, *args))
     code, _, err = run(capsys, "critical", "--sites", "4", "--param", "idirect", "--jk", "3",
                        "--min", "-0.2", "--max", "1.5", "--format", "json")
     assert code == 0, err
