@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Sequence
 
@@ -60,6 +61,12 @@ _EXIT_CODES: dict[type[Exception], int] = {
     NoBracketError: EXIT_NO_BRACKET,
     NonMonotoneError: EXIT_NON_MONOTONE,
 }
+
+#: A token that starts like a negative number is a value, not an option.
+#: argparse before Python 3.13 takes only plain decimals such as -0.5 for
+#: negative numbers, so it read the repr of a small float, such as -7e-05,
+#: as an unknown option and exited 2.
+_NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
 _MACHINE_DIGITS = ".17g"
 _PRETTY_DIGITS = ".6g"
@@ -359,6 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, "pretty")
     p.set_defaults(func=cmd_critical)
 
+    for p in sub.choices.values():
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

@@ -429,6 +429,20 @@ def test_critical_assembles_once(capsys, monkeypatch):
     assert passes == [kondo_sim.ChainModel(sites=4, jk=3.0, idirect=1.0)]
 
 
+def test_negative_values_in_exponent_form(capsys):
+    # bench inputs are written with repr, which gives -7.1276964192013e-05 for
+    # a bracket end just below zero; argparse before 3.13 took it for an option
+    code, out, err = run(capsys, "simulate", "--sites", "2", "--idirect", "-7.127696419201301e-05", "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["idirect"] == -7.127696419201301e-05
+    code, out, err = run(capsys, "critical", "--sites", "2", "--param", "idirect", "--jk", "1", "--min", "-7e-05",
+                         "--max", "5", "--format", "json")
+    assert code == 6 and "[-7e-05, 5.0]" in err and out == ""  # parsed, then no crossing
+    with pytest.raises(SystemExit) as info:
+        run(capsys, "simulate", "--sites", "2", "--idirect", "-1x")
+    assert info.value.code == 2 and "invalid float value" in capsys.readouterr().err
+
+
 def test_critical_rejects_non_finite_target(capsys):
     code, out, err = run(capsys, "critical", "--sites", "2", "--param", "jk", "--min", "1", "--max", "2",
                          "--target-fs", "nan", "--format", "json")
