@@ -544,7 +544,8 @@ def _thick_restart_lanczos(h, V):
 def ground_state(h: sparse.csr_matrix) -> GroundStateResult:
     """Lowest eigenpair of a sector Hamiltonian.
 
-    The sector size alone picks the path: a dense eigensolve at or below
+    The sector size alone picks the path: a dense eigensolve of only the two
+    lowest eigenpairs (``qmat.hermitian_eig(..., lowest=2)``) at or below
     DENSE_CUTOFF states, else thick-restart Lanczos from a fixed-seed start
     vector in one block of KRYLOV_DIM + 1 vectors.  Both paths leave through
     one exit: it raises NotConvergedError unless the energy E is finite and
@@ -557,7 +558,8 @@ def ground_state(h: sparse.csr_matrix) -> GroundStateResult:
     degeneracy; ``Analysis.singlet`` catches it from S^2 when the partner has
     another S.  Arithmetic that overflows, divides by zero or makes a NaN
     (couplings near the float limit) also raises NotConvergedError, and so
-    does a LAPACK failure.
+    does a LAPACK failure, among them a NaN entry of H, for which the dense
+    driver finds no eigenvalue.
     """
     dim = h.shape[0]
     if dim == 0:
@@ -567,7 +569,7 @@ def ground_state(h: sparse.csr_matrix) -> GroundStateResult:
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             if method == "dense":
-                values, vectors = qmat.hermitian_eig(h.toarray())
+                values, vectors = qmat.hermitian_eig(h.toarray(), lowest=2)
                 psi = np.ascontiguousarray(vectors[:, 0])
                 psi /= np.linalg.norm(psi)
                 residual = float(np.linalg.norm(h @ psi - float(values[0]) * psi))
@@ -720,8 +722,14 @@ def sweep(
 
 
 def point_correlation(model: ChainModel, param: str, value: float) -> float:
-    """f_s of the (unique) sector ground state at one parameter value."""
-    return model_at(model, param, value).analyze().f_s
+    """f_s of the sector ground state at one parameter value, as ``CouplingLine.correlation`` gives it.
+
+    Raises DegenerateGroundError for a degenerate ground level, also one that
+    only ``Analysis.singlet`` sees: a Lanczos vector that mixes spin multiplets.
+    """
+    a = model_at(model, param, value).analyze()
+    a.singlet()
+    return a.f_s
 
 
 class CouplingLine:

@@ -10,6 +10,7 @@ follow that convention.
 
 from __future__ import annotations
 
+from operator import index
 from typing import NamedTuple
 
 import numpy as np
@@ -65,15 +66,31 @@ def require_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def hermitian_eig(m: np.ndarray) -> Spectrum:
+def hermitian_eig(m: np.ndarray, lowest: int | None = None) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns eigenvalues in ascending order and orthonormal eigenvector
     columns satisfying m = V diag(w) V+ to working precision.  A real
     symmetric input is solved in real arithmetic and gives real vectors.
+
+    With ``lowest=k`` only the min(k, n) lowest eigenpairs come back, from
+    LAPACK's ?syevr/?heevr driver (Dhillon, Parlett & Voemel, ACM TOMS 32,
+    533 (2006)) through ``scipy.linalg.eigh``, which skips the rest of the
+    spectrum.  ``scipy.linalg`` is imported only then, so a process that
+    never asks for a partial spectrum does not load it.  The driver finds
+    no eigenvalue of a matrix with a NaN entry; that raises
+    ``numpy.linalg.LinAlgError``, where the full path returns NaN values.
     """
     m = require_hermitian(m)
-    w, v = np.linalg.eigh(m)
+    if lowest is None:
+        w, v = np.linalg.eigh(m)
+    else:
+        from scipy.linalg import eigh
+
+        k = min(index(lowest), len(m))
+        w, v = eigh(m, subset_by_index=[0, k - 1], check_finite=False)
+        if len(w) < k:
+            raise np.linalg.LinAlgError(f"found {len(w)} of the {k} lowest eigenpairs")
     return Spectrum(values=w, vectors=v)
 
 

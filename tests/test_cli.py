@@ -514,8 +514,9 @@ def test_unmapped_error_propagates(capsys, monkeypatch):
 
 
 def test_import_leaves_scipy_linalg_out():
-    # importing scipy.linalg costs about 50 ms of every command's start-up,
-    # and scipy.special 50-70 ms, which only `rkky.f1` needs and loads
+    # importing scipy.linalg costs about 50 ms of start-up, which only a dense
+    # solve pays: `qmat.hermitian_eig(..., lowest=k)` loads it when it runs;
+    # scipy.special costs 50-70 ms, which only `rkky.f1` needs and loads
     # when it runs; a fresh interpreter sees the imports
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -523,6 +524,26 @@ def test_import_leaves_scipy_linalg_out():
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("werner", "--fs", "-0.5"), ("simulate", "--sites", "6", "--jk", "1")],
+    ids=["closed-form", "lanczos"],
+)
+def test_commands_without_a_dense_solve_leave_scipy_linalg_out(argv):
+    # a closed form and a Lanczos solve (L=6, dim 1250) never load it
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = (
+        "import sys, contextlib, io, tikm.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = tikm.cli.main({list(argv)!r})\n"
+        "print(code, 'scipy.linalg' in sys.modules)"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0 False\n"
 
 
 def test_csv_outputs_bit_identical(capsys, tmp_path):

@@ -611,11 +611,69 @@ def test_dense_residual_is_checked_at_the_same_exit(monkeypatch, solve_on):
     m = ks.ChainModel(sites=2, jk=0.5)
     h = ks.build_hamiltonian(m, ks.build_basis(m))
     spec = qmat.hermitian_eig(h.toarray())
-    monkeypatch.setattr(qmat, "hermitian_eig", lambda a: qmat.Spectrum(spec.values, spec.vectors[:, ::-1]))
+    monkeypatch.setattr(qmat, "hermitian_eig", lambda a, lowest=None: qmat.Spectrum(spec.values, spec.vectors[:, ::-1]))
     with pytest.raises(NotConvergedError, match="Dense stalled") as info:
         solve_on(h, "dense")
     assert info.value.iterations == 0
     assert info.value.residual > 1e-8
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", [(3, 3), (3, 5)], ids=["diagonal", "off-diagonal"])
+def test_dense_solve_of_a_non_finite_entry_exits_not_converged(entry, where):
+    # the dense driver runs without scipy's finite check, whose ValueError
+    # would exit 2; a NaN leaves it with no eigenvalue, an inf fails the
+    # Hermiticity check's subtraction under np.errstate
+    m = ks.ChainModel(sites=4, jk=0.5)
+    h = ks.build_hamiltonian(m, ks.build_basis(m)).tolil()
+    i, j = where
+    h[i, j] = h[j, i] = entry
+    with pytest.raises(NotConvergedError, match="^Dense "):
+        ks.ground_state(h.tocsr())
+
+
+@st.composite
+def _dense_models(draw):
+    """Random L <= 5 models, all on the dense path: placements, fillings, and each coupling zero or not."""
+    L = draw(st.integers(1, 5))
+    xa = draw(st.integers(0, L - 1))
+
+    def coupling(lo, hi):
+        return draw(st.one_of(st.just(0.0), st.floats(lo, hi)))
+
+    return ks.ChainModel(
+        sites=L,
+        hopping=coupling(0.0, 2.0),
+        jk=coupling(0.0, 3.0),
+        idirect=coupling(-2.0, 2.0),
+        xa=xa,
+        xb=draw(st.integers(xa, L - 1)),
+        nup=draw(st.integers(0, L)),
+        ndn=draw(st.integers(0, L)),
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_dense_models())
+@example(ks.ChainModel(sites=5, jk=0.5))  # dim 300, the default-filling sector at L=5
+@example(ks.ChainModel(sites=4, jk=0.0))  # free impurities: a degenerate ground level
+def test_two_lowest_eigenpairs_solve_as_the_full_spectrum(model):
+    # the dense path solves only the two lowest eigenpairs; a full eigh in its
+    # place gives the same verdict, energy, gap and f_s
+    basis = ks.build_basis(model)
+    h = ks.build_hamiltonian(model, basis)
+    full_eig = qmat.hermitian_eig
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qmat, "hermitian_eig", lambda a, lowest=None: full_eig(a))
+        full = ks.ground_state(h)
+    g = ks.ground_state(h)
+    assert g.method == full.method == "dense"
+    assert g.degenerate == full.degenerate
+    assert abs(g.energy - full.energy) <= 1e-12 * max(1.0, abs(full.energy))
+    if not full.degenerate:
+        assert g.gap == full.gap == math.inf or abs(g.gap - full.gap) <= 1e-12
+        fs = [measures.spin_correlation(ks.impurity_rdm(r, basis)) for r in (g, full)]
+        assert abs(fs[0] - fs[1]) <= 1e-12
 
 
 def test_degenerate_ground_detected_and_blocks_rdm():
@@ -899,6 +957,14 @@ def test_sweep_refuses_a_mixed_lanczos_vector(model):
     (point,) = ks.sweep(model, "idirect", [0.0])
     assert point.error.startswith("DegenerateGroundError") and "mixes spin multiplets" in point.error
     assert point.f_s is None
+
+
+@pytest.mark.parametrize("model", [ks.ChainModel(sites=6), ks.ChainModel(sites=6, hopping=0.0, jk=1.0)], ids=["free", "no-hopping"])
+def test_point_correlation_refuses_a_mixed_lanczos_vector(model):
+    # it returned f_s 0.2006 and -3.4e-17 of these mixed vectors without raising
+    assert model.analyze().ground.method == "lanczos"
+    with pytest.raises(DegenerateGroundError, match="mixes spin multiplets"):
+        ks.point_correlation(model, "idirect", 0.0)
 
 
 def test_sweep_rejects_unknown_parameter():

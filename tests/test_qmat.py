@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tikm import qmat, werner
 from tikm.errors import DimensionMismatchError, NegativeEigenvalueError, NotHermitianError
@@ -52,6 +54,58 @@ def test_hermitian_eig_reconstruction_property():
         gram = spec.vectors.conj().T @ spec.vectors
         assert np.abs(gram - np.eye(dim)).max() <= 1e-10
         assert np.all(np.diff(spec.values) >= 0.0)
+
+
+@st.composite
+def _hermitian_matrices(draw):
+    """Random real or complex Hermitian n x n matrices, n <= 12, some with repeated eigenvalues, at three scales."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.standard_normal((n, n))
+    if draw(st.booleans()):
+        g = g + 1j * rng.standard_normal((n, n))
+    if draw(st.booleans()):
+        # V diag(w) V+ with w drawn from three levels, so most levels repeat
+        q = np.linalg.qr(g)[0]
+        m = (q * rng.integers(-1, 2, n)) @ q.conj().T
+        m = 0.5 * (m + m.conj().T)
+    else:
+        m = g + g.conj().T
+    return m * draw(st.sampled_from((1e-3, 1.0, 1e3))), draw(st.integers(1, n + 2))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_hermitian_matrices())
+def test_lowest_eigenpairs_match_the_full_decomposition(case):
+    m, k = case
+    full = qmat.hermitian_eig(m)
+    low = qmat.hermitian_eig(m, lowest=k)
+    n = len(m)
+    assert low.values.shape == (min(k, n),) and low.vectors.shape == (n, min(k, n))
+    assert low.vectors.dtype == full.vectors.dtype
+    scale = max(1.0, np.linalg.norm(m, 2))
+    assert np.abs(low.values - full.values[:k]).max() <= 1e-12 * scale
+    gram = low.vectors.conj().T @ low.vectors
+    assert np.abs(gram - np.eye(len(gram))).max() <= 1e-12
+    for i, w in enumerate(low.values):
+        others = np.delete(full.values, i)
+        if len(others) and np.abs(others - w).min() < 1e-4 * scale:
+            continue  # a repeated or close level: its vector is not unique
+        overlap = np.vdot(full.vectors[:, i], low.vectors[:, i])
+        # the two vectors agree up to a phase
+        assert np.linalg.norm(low.vectors[:, i] - overlap / abs(overlap) * full.vectors[:, i]) <= 1e-9
+
+
+def test_lowest_eigenpairs_refuse_a_nan_entry_and_a_bad_count():
+    m = np.eye(4)
+    m[1, 2] = m[2, 1] = np.nan
+    with pytest.raises(np.linalg.LinAlgError, match="found 0 of the 2 lowest"):
+        qmat.hermitian_eig(m, lowest=2)
+    with pytest.raises(TypeError):
+        qmat.hermitian_eig(np.eye(4), lowest=2.5)
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            qmat.hermitian_eig(np.eye(4), lowest=k)
 
 
 def test_hermitian_eig_keeps_real_input_real():
