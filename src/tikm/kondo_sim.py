@@ -211,8 +211,11 @@ class SectorBasis:
 
 
 def _sz2_of(sz_total: float) -> int:
-    sz2 = int(round(2.0 * float(sz_total)))
-    if abs(2.0 * float(sz_total) - sz2) > 1e-9:
+    twice = 2.0 * float(sz_total)
+    if not math.isfinite(twice):
+        raise ValueError(f"sz_total must be finite, got {sz_total!r}")
+    sz2 = int(round(twice))
+    if abs(twice - sz2) > 1e-9:
         raise ValueError(f"sz_total must be integer or half-integer, got {sz_total!r}")
     return sz2
 
@@ -279,21 +282,20 @@ def _apply_term(codes: np.ndarray, src: np.ndarray, flip: int, into: np.ndarray)
 def _hamiltonian_terms(model: ChainModel, basis: SectorBasis, emit: Callable[..., None]) -> None:
     """Pass every term of the sector Hamiltonian at the model's couplings to ``emit``.
 
-    Calls emit(coupling, rows, cols, values), ``coupling`` being "hopping",
-    "jk" or "idirect": for an off-diagonal term with its positions and values
-    (one per entry, or one for all), for a diagonal part with rows and cols
-    None and one value per basis state.  A coupling that is zero emits
-    nothing.  Each off-diagonal term is applied to all basis codes at once: a
-    mask selects the states it acts on, an XOR flips the bits it changes, and
-    the fermionic sign is the parity of the occupied orbitals strictly
-    between the two it moves an electron across.  Every target is looked up
-    in the sorted sector codes by ``_apply_term``, which raises on a term that
-    leaks out of the symmetry sector.  No two off-diagonal terms reach one
-    entry: each flips its own set of bits.  Each term goes to ``emit`` as soon
-    as it is made, and its temporaries are freed before the next one is
-    allocated.  The allocation order matters: a generator, which holds them
-    across a yield, left the C allocator enough freed heap at L=10 to raise
-    the peak RSS of a ``simulate`` process by 26 MB.
+    Calls emit(rows, cols, values): for an off-diagonal term with its
+    positions and values (one per entry, or one for all), for a diagonal part
+    with rows and cols None and one value per basis state.  A coupling that is
+    zero emits nothing.  Each off-diagonal term is applied to all basis codes
+    at once: a mask selects the states it acts on, an XOR flips the bits it
+    changes, and the fermionic sign is the parity of the occupied orbitals
+    strictly between the two it moves an electron across.  Every target is
+    looked up in the sorted sector codes by ``_apply_term``, which raises on a
+    term that leaks out of the symmetry sector.  No two off-diagonal terms
+    reach one entry: each flips its own set of bits.  Each term goes to
+    ``emit`` as soon as it is made, and its temporaries are freed before the
+    next one is allocated.  The allocation order matters: a generator, which
+    holds them across a yield, left the C allocator enough freed heap at L=10
+    to raise the peak RSS of a ``simulate`` process by 26 MB.
     """
     L = model.sites
     n_orb = 2 * L
@@ -302,8 +304,8 @@ def _hamiltonian_terms(model: ChainModel, basis: SectorBasis, emit: Callable[...
     idir = model.idirect
     codes = basis.codes
 
-    def term(coupling: str, src: np.ndarray, flip: int, value) -> None:
-        emit(coupling, _apply_term(codes, src, flip, codes), src.astype(np.int32), value)
+    def term(src: np.ndarray, flip: int, value) -> None:
+        emit(_apply_term(codes, src, flip, codes), src.astype(np.int32), value)
 
     a_up = _bit(codes, n_orb + 1)
     b_up = _bit(codes, n_orb)
@@ -315,33 +317,33 @@ def _hamiltonian_terms(model: ChainModel, basis: SectorBasis, emit: Callable[...
                 between = ((1 << q) - 1) & ~((1 << (p + 1)) - 1)
                 src = np.flatnonzero(_bit(codes, p) != _bit(codes, q))
                 odd = np.bitwise_count(codes[src] & between) & 1
-                term("hopping", src, (1 << p) | (1 << q), np.where(odd == 1, t, -t))
+                term(src, (1 << p) | (1 << q), np.where(odd == 1, t, -t))
 
     if jk != 0.0:
         for x, up, imp_flip in ((model.xa, a_up, 2), (model.xb, b_up, 1)):
             n_u = _bit(codes, 2 * x)
             n_d = _bit(codes, 2 * x + 1)
             s_imp = np.where(up, 0.5, -0.5)
-            emit("jk", None, None, jk * s_imp * 0.5 * (n_u - n_d))
+            emit(None, None, jk * s_imp * 0.5 * (n_u - n_d))
             # S- s+ lowers an up impurity and raises a down electron, S+ s- the
             # reverse; both orbitals sit on one site, so no sign arises
             src = np.flatnonzero((n_u != n_d) & (up == n_d))
-            term("jk", src, (imp_flip << n_orb) | (3 << (2 * x)), 0.5 * jk)
+            term(src, (imp_flip << n_orb) | (3 << (2 * x)), 0.5 * jk)
 
     if idir != 0.0:
-        emit("idirect", None, None, idir * np.where(a_up, 0.5, -0.5) * np.where(b_up, 0.5, -0.5))
+        emit(None, None, idir * np.where(a_up, 0.5, -0.5) * np.where(b_up, 0.5, -0.5))
         # (S+_A S-_B + S-_A S+_B)/2 swaps the two impurity spins
-        term("idirect", np.flatnonzero(a_up != b_up), 3 << n_orb, 0.5 * idir)
+        term(np.flatnonzero(a_up != b_up), 3 << n_orb, 0.5 * idir)
 
 
 def build_hamiltonian(model: ChainModel, basis: SectorBasis) -> sparse.csr_matrix:
-    """Assemble the sector Hamiltonian as a real symmetric CSR matrix from ``_hamiltonian_terms``."""
+    """The sector Hamiltonian from ``_hamiltonian_terms`` as a real symmetric CSR matrix that stores no zero."""
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     vals: list[np.ndarray] = []
     diag = np.zeros(basis.dim)
 
-    def emit(coupling: str, row: np.ndarray | None, col: np.ndarray | None, value) -> None:
+    def emit(row: np.ndarray | None, col: np.ndarray | None, value) -> None:
         if row is None:
             np.add(diag, value, out=diag)
         else:
@@ -356,7 +358,9 @@ def build_hamiltonian(model: ChainModel, basis: SectorBasis) -> sparse.csr_matri
     vals.append(diag[src])
 
     coo = sparse.coo_matrix((_joined(vals), (_joined(rows), _joined(cols))), shape=(basis.dim, basis.dim))
-    return coo.tocsr()
+    h = coo.tocsr()
+    h.eliminate_zeros()  # an exchange term can underflow to 0, as 0.5 * 5e-324 does
+    return h
 
 
 def _joined(parts: list[np.ndarray]) -> np.ndarray:
@@ -733,22 +737,17 @@ def point_correlation(model: ChainModel, param: str, value: float) -> float:
 
 
 class CouplingLine:
-    """A model's sector Hamiltonian along one coupling p: H(p) = H_rest + p * H_p, assembled once.
+    """A model's sector Hamiltonian along one coupling p: H(p) = H_rest + p * H_p, each part built once.
 
     ``param`` names p, ``jk`` or ``idirect``; the other couplings keep the
-    model's values.  One pass of the term loop at p = 1 gives both parts,
-    laid on one CSR pattern, the union of theirs.  The line keeps one matrix
-    on it and, for the entries that p scales, their H_p values and the H_rest
-    values beside them; a point rewrites only those entries, as rest + p *
-    unit.  Where H(p) has no entry the pattern can hold an explicit zero;
-    dropping those gives build_hamiltonian(model_at(model, param, p)) bit for
-    bit.  Every entry that p scales is p times a power of two, so scaling
-    rounds nothing (short of subnormal results), and a diagonal entry adds
-    one rest value to it, as the builder does.  An explicit zero adds an
-    exact zero to a matrix-vector product in the same column order, so a
-    solve on H(p) matches one on the rebuilt matrix too.  The basis, with the
-    RDM index and the S^2 ladder it caches, serves every point.  A line is
-    not for use from two threads at once.
+    model's values.  The line holds two matrices from ``build_hamiltonian``:
+    H_rest, the model at p = 0, and H_p, that coupling alone at p = 1.  A
+    point is their sum, which gives build_hamiltonian(model_at(model, param,
+    p)) array for array: every entry of H_p is a power of two, so p * H_p
+    rounds nothing (short of subnormal results), a diagonal entry adds one
+    H_rest value to it as the builder does, and scipy's sum drops the results
+    that are exactly zero, as the builder never stores them.  The basis, with
+    the RDM index and the S^2 ladder it caches, serves every point.
     """
 
     def __init__(self, model: ChainModel, param: str) -> None:
@@ -756,72 +755,20 @@ class CouplingLine:
             raise ValueError(f"a coupling line runs along jk or idirect, got {param!r}")
         self.model = model
         self.param = param
-        self.basis = basis = build_basis(model)
-        dim = basis.dim
-        # every entry of the pattern: its row, its column and its H_rest value
-        # (0 where only H_p has one), and the entries that p scales with their
-        # H_p values, numbered in the order they are appended
-        rows: list[np.ndarray] = []
-        cols: list[np.ndarray] = []
-        rest: list[np.ndarray] = []
-        scaled: list[np.ndarray] = []
-        unit: list[np.ndarray] = []
-        diag = {False: np.zeros(dim), True: np.zeros(dim)}
-
-        def emit(coupling: str, row: np.ndarray | None, col: np.ndarray | None, value) -> None:
-            on_line = coupling == param
-            if row is None:
-                np.add(diag[on_line], value, out=diag[on_line])
-                return
-            value = np.broadcast_to(value, col.shape)
-            if on_line:
-                first = sum(map(len, cols))
-                rest.append(np.zeros(len(col)))
-                scaled.append(np.arange(first, first + len(col), dtype=np.int32))
-                unit.append(value)
-            else:
-                rest.append(value)
-            rows.append(row)
-            cols.append(col)
-
-        _hamiltonian_terms(model_at(model, param, 1.0), basis, emit)
-        src = np.flatnonzero((diag[False] != 0.0) | (diag[True] != 0.0)).astype(np.int32)
-        n = sum(map(len, cols))
-        rows.append(src)
-        cols.append(src)
-        rest.append(diag[False][src])
-        on = np.flatnonzero(diag[True][src])
-        scaled.append((n + on).astype(np.int32))
-        unit.append(diag[True][src][on])
-        n += len(src)
-        # a CSR matrix of entry numbers gives the pattern, and its data the
-        # entry number at each CSR position
-        order = sparse.coo_matrix((np.arange(n, dtype=np.int32), (_joined(rows), _joined(cols))), shape=(dim, dim))
-        order = order.tocsr()
-        data = _joined(rest)[order.data]
-        position = np.empty(n, dtype=np.int32)
-        position[order.data] = np.arange(n, dtype=np.int32)
-        self._scaled = position[_joined(scaled)]
-        self._unit = _joined(unit)
-        self._rest = data[self._scaled]
-        self._h = sparse.csr_matrix((data, order.indices, order.indptr), shape=(dim, dim))
-
-    def _at(self, value: float) -> sparse.csr_matrix:
-        """The line's own matrix, set to H(value); it changes with the next point."""
-        p = getattr(model_at(self.model, self.param, value), self.param)
-        self._h.data[self._scaled] = self._rest + p * self._unit
-        return self._h
+        self.basis = build_basis(model)
+        self._rest = build_hamiltonian(replace(model, **{param: 0.0}), self.basis)
+        self._unit = build_hamiltonian(
+            replace(model, **{"hopping": 0.0, "jk": 0.0, "idirect": 0.0, param: 1.0}), self.basis
+        )
 
     def hamiltonian(self, value: float) -> sparse.csr_matrix:
-        """H at ``param`` = ``value`` on the line's pattern, as a matrix of its own.
-
-        ``value`` is checked as ``ChainModel`` checks that coupling.
-        """
-        return self._at(value).copy()
+        """H at ``param`` = ``value``; ``value`` is checked as ``ChainModel`` checks that coupling."""
+        p = getattr(model_at(self.model, self.param, value), self.param)
+        return self._rest + p * self._unit
 
     def analyze(self, value: float) -> Analysis:
         """``model_at(model, param, value).analyze()``, solved on H(value)."""
-        return _reduce(self.basis, ground_state(self._at(value)))
+        return _reduce(self.basis, ground_state(self.hamiltonian(value)))
 
     def correlation(self, value: float) -> float:
         """f_s at ``value``, once ``Analysis.singlet`` has refused a ground vector that mixes spin multiplets."""

@@ -419,14 +419,15 @@ def test_critical_free_impurities_jump_exit(capsys):
 
 
 def test_critical_assembles_once(capsys, monkeypatch):
-    passes = []
-    terms = kondo_sim._hamiltonian_terms
-    monkeypatch.setattr(kondo_sim, "_hamiltonian_terms", lambda model, *args: passes.append(model) or terms(model, *args))
+    builds = []
+    build = kondo_sim.build_hamiltonian
+    monkeypatch.setattr(kondo_sim, "build_hamiltonian", lambda model, *args: builds.append(model) or build(model, *args))
     code, _, err = run(capsys, "critical", "--sites", "4", "--param", "idirect", "--jk", "3",
                        "--min", "-0.2", "--max", "1.5", "--format", "json")
     assert code == 0, err
-    # the search and the closing solve share one pass, at idirect = 1
-    assert passes == [kondo_sim.ChainModel(sites=4, jk=3.0, idirect=1.0)]
+    # the search and the closing solve share the line's two builds, H_rest
+    # and H_p, and no point builds its own
+    assert builds == [kondo_sim.ChainModel(sites=4, jk=3.0), kondo_sim.ChainModel(sites=4, hopping=0.0, idirect=1.0)]
 
 
 def test_negative_values_in_exponent_form(capsys):

@@ -158,6 +158,9 @@ def test_basis_matches_itertools_reference(sites):
 def test_basis_sz_validation():
     with pytest.raises(ValueError):
         ks.build_basis(ks.ChainModel(sites=2), 0.3)
+    for sz in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="sz_total must be finite"):
+            ks.build_basis(ks.ChainModel(sites=2), sz)
 
 
 # ---------------------------------------------------------------- hamiltonian
@@ -833,17 +836,17 @@ def _outcome(analyze):
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(_line_points())
-@example((ks.ChainModel(sites=6, jk=2.0), "jk", 0.0, "lanczos"))  # dim 1250, only explicit zeros on the line
+@example((ks.ChainModel(sites=6, jk=2.0), "jk", 0.0, "lanczos"))  # dim 1250, p * H_p all zeros
 @example((ks.ChainModel(sites=6, jk=1.1, idirect=0.3, xa=0, xb=5), "idirect", -0.8, "lanczos"))
 @example((ks.ChainModel(sites=5, jk=0.7, nup=3, ndn=2), "idirect", 0.0, "dense"))
 @example((ks.ChainModel(sites=4, jk=0.9, idirect=0.4, xa=1, xb=1), "jk", 1.7, "dense"))  # shared site
+@example((ks.ChainModel(sites=6, jk=1.3, idirect=0.6), "idirect", -0.0, "lanczos"))  # -0.0 * H_p
 def test_coupling_line_equals_a_rebuild(case):
-    # H(p) = H_rest + p * H_p is exact: without its explicit zeros it is the
-    # rebuilt matrix array for array, and the solves on both agree to the bit
+    # H(p) = H_rest + p * H_p is exact: it is the rebuilt matrix array for
+    # array, neither storing a zero, and the solves on both agree to the bit
     model, param, value, path = case
     line = ks.CouplingLine(model, param)
     h = line.hamiltonian(value)
-    h.eliminate_zeros()  # in place: the line's own pattern must not change with it
     rebuilt = ks.model_at(model, param, value)
     ref = ks.build_hamiltonian(rebuilt, ks.build_basis(rebuilt))
     for part in ("indptr", "indices", "data"):
