@@ -22,13 +22,14 @@ for point in kondo_sim.sweep(model, "jk", np.linspace(0.5, 3.0, 11)):
     marker = " <-- entangled side ends near here" if abs(point.f_s + 0.25) < 0.04 else ""
     print(f"  j_k = {point.value:4.2f}  f_s = {point.f_s:+.4f} |{bar:<40}|{marker}")
 
-crossing = kondo_sim.find_crossing(model, "jk", 1.0, 2.0, tol=1e-8)
-f_at = kondo_sim.point_correlation(model, "jk", crossing)
+line = kondo_sim.CouplingLine(model, "jk")
+crossing = kondo_sim.find_crossing(line, 1.0, 2.0, tol=1e-8)
+f_at = line.correlation(crossing)
 print(f"\nsecant search: f_s crosses -1/4 at j_k = {crossing:.8f} (f_s there: {f_at:+.9f})")
 
 step = 1e-3
 xs = np.arange(1.7, 1.95, step)
-fs = [kondo_sim.point_correlation(model, "jk", float(x)) for x in xs]
+fs = [line.correlation(float(x)) for x in xs]
 for k in range(len(xs) - 1):
     if (fs[k] + 0.25) * (fs[k + 1] + 0.25) <= 0.0:
         scan = xs[k] + (-0.25 - fs[k]) * step / (fs[k + 1] - fs[k])
@@ -37,7 +38,7 @@ for k in range(len(xs) - 1):
 
 print("\non either side of the crossing:")
 for jk in (crossing - 0.2, crossing + 0.2):
-    f_s = kondo_sim.point_correlation(model, "jk", jk)
+    f_s = line.correlation(jk)
     rep = werner.classify(werner.from_correlation(f_s))
     verdict = "entangled" if rep.entangled else "separable"
     print(f"  j_k = {jk:.3f}: f_s = {f_s:+.4f}, concurrence = {rep.concurrence:.4f} ({verdict})")

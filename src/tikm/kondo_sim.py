@@ -107,10 +107,12 @@ JUMP_FACTOR = 100.0
 class ChainModel:
     """Two impurities on an open chain, in a fixed electron-number sector.
 
-    ``xa``/``xb`` default to the two central sites (reflection symmetric,
-    which is what makes the impurity pair state rotation invariant); they may
-    coincide, which couples both impurities to one shared site.  ``nup`` and
-    ``ndn`` default to half filling for even chains.
+    ``xa``/``xb`` default to the two central sites; they may coincide, which
+    couples both impurities to one shared site.  ``nup`` and ``ndn`` default
+    to half filling for even chains.  The impurity pair state is rotation
+    invariant (of the Werner form) whenever the ground state is a spin
+    singlet, whatever the placement; the centred default is not what makes
+    it so.
     """
 
     sites: int
@@ -708,10 +710,9 @@ def sweep(
 ) -> list[SweepPoint]:
     """Analyze the ground state along a parameter grid.
 
-    Points are evaluated serially, in grid order, on the calling thread.  A
-    thread pool made every sweep slower: each point is a short solve, so the
-    threads contended for the interpreter lock and the two-thread BLAS.
-    ``max_workers`` is accepted for existing callers and ignored.  Points
+    Points are evaluated serially, in grid order, on the calling thread.
+    ``max_workers`` is ignored; it stays only because the benchmark's tests
+    (``bench/test_bench.py``) still pass it.  Points
     whose ground state is degenerate within its sector (on the Lanczos path
     also a ground vector that mixes spin multiplets, see
     ``Analysis.singlet``), or that fail for any other reason, come back with
@@ -723,17 +724,6 @@ def sweep(
     if param not in _SWEEP_PARAMS:
         raise ValueError(f"param must be one of {_SWEEP_PARAMS}, got {param!r}")
     return [_analyze_point(model, param, float(v)) for v in grid]
-
-
-def point_correlation(model: ChainModel, param: str, value: float) -> float:
-    """f_s of the sector ground state at one parameter value, as ``CouplingLine.correlation`` gives it.
-
-    Raises DegenerateGroundError for a degenerate ground level, also one that
-    only ``Analysis.singlet`` sees: a Lanczos vector that mixes spin multiplets.
-    """
-    a = model_at(model, param, value).analyze()
-    a.singlet()
-    return a.f_s
 
 
 class CouplingLine:
@@ -778,21 +768,17 @@ class CouplingLine:
 
 
 def find_crossing(
-    model: ChainModel,
-    param: str,
+    line: CouplingLine,
     lo: float,
     hi: float,
     target_fs: float = werner.CRITICAL_CORRELATION,
     tol: float = 1e-6,
-    line: CouplingLine | None = None,
 ) -> float:
-    """Find the parameter value where f_s crosses ``target_fs``.
+    """Find the value of ``line.param`` where f_s crosses ``target_fs``.
 
-    Every point is solved on one ``CouplingLine`` of ``model`` along
-    ``param`` (``jk`` or ``idirect``): ``line`` when given, which must be
-    that line, so a caller can solve more points on it; else one built once
-    the inputs pass their checks.  A point whose ground vector mixes spin
-    multiplets raises DegenerateGroundError (``CouplingLine.correlation``).
+    Every point is solved on ``line``, so a caller can solve more points on
+    it.  A point whose ground vector mixes spin multiplets raises
+    DegenerateGroundError (``CouplingLine.correlation``).
 
     Monotonicity of f_s is checked on an evenly spaced pre-grid of
     2**PRE_GRID_LEVELS + 1 points (NonMonotoneError lists the offending
@@ -834,10 +820,6 @@ def find_crossing(
         raise ValueError(f"tol {tol!r} is below the float resolution of [{lo}, {hi}]")
     if not math.isfinite(target_fs):
         raise ValueError(f"target_fs must be finite, got {target_fs!r}")
-    if line is None:
-        line = CouplingLine(model, param)
-    elif (line.model, line.param) != (model, param):
-        raise ValueError(f"line runs along {line.param} of {line.model}, not along {param} of {model}")
     xs = np.linspace(lo, hi, 2**PRE_GRID_LEVELS + 1).tolist()
     fs = [line.correlation(x) for x in xs]
     direction = np.sign(fs[-1] - fs[0])
@@ -848,7 +830,7 @@ def find_crossing(
     ]
     if direction == 0.0 or offending:
         raise NonMonotoneError(
-            f"f_s is not monotone in {param} on [{lo}, {hi}]",
+            f"f_s is not monotone in {line.param} on [{lo}, {hi}]",
             points=offending or [(lo, fs[0], hi, fs[-1])],
         )
     gs = [f - target_fs for f in fs]
@@ -886,7 +868,7 @@ def find_crossing(
     slope = abs(fs[-1] - fs[0]) / (hi - lo)
     if abs(g_b - g_a) > JUMP_FACTOR * slope * (b - a):
         raise NonMonotoneError(
-            f"f_s jumps over {target_fs} in {param} between {a} and {b} "
+            f"f_s jumps over {target_fs} in {line.param} between {a} and {b} "
             f"(from {g_a + target_fs:.6f} to {g_b + target_fs:.6f})",
             points=[(a, g_a + target_fs, b, g_b + target_fs)],
         )

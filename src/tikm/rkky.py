@@ -33,14 +33,19 @@ def f3(x: float) -> float:
     """Three-dimensional range function (sin x - x cos x) / x^4, x > 0.
 
     Diverges as 1/(3x) for x -> 0+ and oscillates with decaying envelope at
-    large x; the sign changes at the roots of tan x = x.
+    large x; the sign changes at the roots of tan x = x.  Where x^4
+    overflows (x above about 1.16e77) the value is ((sin x)/x - cos x)/x^3,
+    divided one power of x at a time, so it stays finite (about -cos x / x^3).
     """
     x = float(x)
     if x <= 0.0:
         raise DomainError(f"f3 requires x > 0, got {x!r}")
     if x < _F3_SERIES_CUTOFF:
         return 1.0 / (3.0 * x) - x / 30.0 + x**3 / 840.0
-    return (math.sin(x) - x * math.cos(x)) / x**4
+    try:
+        return (math.sin(x) - x * math.cos(x)) / x**4
+    except OverflowError:
+        return (math.sin(x) / x - math.cos(x)) / x / x / x
 
 
 def f1(x: float) -> float:
@@ -120,9 +125,12 @@ class CouplingResult:
 def coupling(p: RkkyParams) -> CouplingResult:
     """Evaluate I(R), its sign class (AFM for I > 0, FM for I < 0) and I/T_K.
 
-    Raises DomainError when T_K underflows to 0 or I or I/T_K overflows.
+    Raises DomainError when x = 2 k_F R overflows, T_K underflows to 0 or I
+    or I/T_K overflows.
     """
     x = 2.0 * p.fermi_wavevector * p.distance
+    if not math.isfinite(x):
+        raise DomainError(f"x = 2 k_F R = {x!r} must be finite")
     fval = f3(x) if p.dimension == 3 else f1(x)
     value = 4.0 * math.pi * p.j**2 * p.fermi_energy * fval
     if value > 0.0:

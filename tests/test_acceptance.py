@@ -174,10 +174,10 @@ def test_criterion_09_crossing_detection(capsys, tmp_path):
     capsys.readouterr()
     rec = json.loads(out_path.read_text())
     # dense 1e-4 parameter scan, linearly interpolated at the sign change
-    model = kondo_sim.ChainModel(sites=2)
+    line = kondo_sim.CouplingLine(kondo_sim.ChainModel(sites=2), "jk")
     step = 1e-4
     xs = np.arange(1.78, 1.85 + step / 2, step)
-    fs = [kondo_sim.point_correlation(model, "jk", float(x)) for x in xs]
+    fs = [line.correlation(float(x)) for x in xs]
     scan = None
     for k in range(len(xs) - 1):
         if (fs[k] + 0.25) * (fs[k + 1] + 0.25) <= 0.0:

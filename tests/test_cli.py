@@ -353,11 +353,11 @@ def test_simulate_sweep_and_point_correlation_agree(capsys, fields):
     assert code == 0
     rec = json.loads(out)
     model = kondo_sim.ChainModel(**fields)
-    (point,) = kondo_sim.sweep(model, "jk", [model.jk], max_workers=1)
+    (point,) = kondo_sim.sweep(model, "jk", [model.jk])
     assert (point.energy, point.f_s, point.singlet, point.werner_residual) == (
         rec["energy"], rec["fs"], rec["singlet"], rec["werner_residual"]
     )
-    assert kondo_sim.point_correlation(model, "jk", model.jk) == rec["fs"]
+    assert kondo_sim.CouplingLine(model, "jk").correlation(model.jk) == rec["fs"]
 
 
 def test_simulate_requires_sites(capsys):
@@ -383,7 +383,7 @@ def test_critical_json_matches_library(capsys):
     assert code == 0
     assert out.count("\n") == 1  # single line
     rec = json.loads(out)
-    direct = kondo_sim.find_crossing(kondo_sim.ChainModel(sites=2), "jk", 1.0, 2.0, tol=1e-4)
+    direct = kondo_sim.find_crossing(kondo_sim.CouplingLine(kondo_sim.ChainModel(sites=2), "jk"), 1.0, 2.0, tol=1e-4)
     assert rec["value"] == direct
     assert abs(rec["fs"] + 0.25) <= 1e-3
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import eigsh
 
 from tikm import kondo_sim as ks
-from tikm import measures, qmat
+from tikm import measures, qmat, werner
 from tikm.errors import (
     DegenerateGroundError,
     EmptySectorError,
@@ -719,6 +719,26 @@ def test_impurity_rdm_werner_form_and_oracle():
             assert abs(qmat.vn_entropy(marg) - 1.0) <= 1e-7
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_small_models().map(lambda m: replace(m, ndn=m.nup)))
+@example(ks.ChainModel(sites=5, jk=0.8, idirect=0.2, xa=0, xb=3, nup=2, ndn=2))  # off-centre
+@example(ks.ChainModel(sites=6, jk=1.1, idirect=0.3, xa=0, xb=2))  # off-centre, Lanczos path
+def test_singlet_ground_state_gives_the_closed_form_measures(model):
+    # an S = 0 ground state is rotation invariant, whatever the placement, so
+    # the general two-qubit measures of its impurity RDM are the closed forms
+    # at its f_s: the two routes agree on ED output
+    try:
+        a = model.analyze()
+        if not a.singlet():
+            return
+    except TikmError:
+        return
+    closed = werner.classify(werner.from_correlation(a.f_s))
+    assert abs(measures.concurrence_wootters(a.rho) - closed.concurrence) <= 1e-12
+    assert abs(measures.negativity_general(a.rho) - closed.negativity) <= 1e-12
+    assert measures.werner_residual(a.rho) <= 1e-10
+
+
 def test_fs_within_physical_range():
     for model in (
         ks.ChainModel(sites=2, jk=3.0),
@@ -885,7 +905,7 @@ def test_coupling_line_refuses_a_mixed_ground_vector(model):
 
 def test_sweep_two_spin_afm_values():
     m = ks.ChainModel(sites=2, nup=0, ndn=0)
-    points = ks.sweep(m, "idirect", [1.0, 10.0], max_workers=1)
+    points = ks.sweep(m, "idirect", [1.0, 10.0])
     assert [p.value for p in points] == [1.0, 10.0]
     for p in points:
         assert p.error is None
@@ -896,7 +916,7 @@ def test_sweep_two_spin_afm_values():
 
 def test_sweep_fm_triplet_manifold_flagged():
     m = ks.ChainModel(sites=2, nup=0, ndn=0)
-    (point,) = ks.sweep(m, "idirect", [-1.0], max_workers=1)
+    (point,) = ks.sweep(m, "idirect", [-1.0])
     assert point.error is None
     assert point.degenerate and not point.singlet
     assert abs(point.f_s - 0.25) <= 1e-12
@@ -906,7 +926,7 @@ def test_sweep_fm_triplet_manifold_flagged():
 def test_sweep_kondo_screening_direction():
     # stronger screening pulls the correlation up toward zero from below
     m = ks.ChainModel(sites=4)
-    points = ks.sweep(m, "jk", [1.0, 2.0, 4.0, 8.0], max_workers=1)
+    points = ks.sweep(m, "jk", [1.0, 2.0, 4.0, 8.0])
     values = [p.f_s for p in points]
     assert all(p.error is None for p in points)
     assert all(v < 0.0 for v in values)
@@ -915,14 +935,14 @@ def test_sweep_kondo_screening_direction():
 
 def test_sweep_records_errors_without_aborting():
     m = ks.ChainModel(sites=2, jk=0.0)
-    points = ks.sweep(m, "idirect", [0.0, 1.0], max_workers=1)
+    points = ks.sweep(m, "idirect", [0.0, 1.0])
     assert points[0].error is not None and "Degenerate" in points[0].error
     assert points[1].error is None and points[1].f_s is not None
 
 
 def test_sweep_separation_parameter():
     m = ks.ChainModel(sites=4, jk=0.8)
-    points = ks.sweep(m, "separation", [1.0, 2.0, 3.0], max_workers=1)
+    points = ks.sweep(m, "separation", [1.0, 2.0, 3.0])
     assert points[0].error is None  # centered pair (1, 2)
     assert points[1].error is not None  # cannot center distance 2 on 4 sites
     assert points[2].error is None  # end-to-end pair (0, 3)
@@ -950,7 +970,7 @@ def test_sweep_records_non_finite_separation_as_errors():
     assert len(points) == 2
     assert all(p.error is not None and "finite" in p.error and p.f_s is None for p in points)
     with pytest.raises(ValueError, match="finite"):
-        ks.point_correlation(ks.ChainModel(sites=4), "separation", math.inf)
+        ks.model_at(ks.ChainModel(sites=4), "separation", math.inf)
 
 
 @pytest.mark.parametrize("model", [ks.ChainModel(sites=6), ks.ChainModel(sites=6, hopping=0.0, jk=1.0)], ids=["free", "no-hopping"])
@@ -962,14 +982,6 @@ def test_sweep_refuses_a_mixed_lanczos_vector(model):
     assert point.f_s is None
 
 
-@pytest.mark.parametrize("model", [ks.ChainModel(sites=6), ks.ChainModel(sites=6, hopping=0.0, jk=1.0)], ids=["free", "no-hopping"])
-def test_point_correlation_refuses_a_mixed_lanczos_vector(model):
-    # it returned f_s 0.2006 and -3.4e-17 of these mixed vectors without raising
-    assert model.analyze().ground.method == "lanczos"
-    with pytest.raises(DegenerateGroundError, match="mixes spin multiplets"):
-        ks.point_correlation(model, "idirect", 0.0)
-
-
 def test_sweep_rejects_unknown_parameter():
     with pytest.raises(ValueError):
         ks.sweep(ks.ChainModel(sites=2), "hopping", [1.0])
@@ -978,12 +990,12 @@ def test_sweep_rejects_unknown_parameter():
 # ---------------------------------------------------------------- crossing
 
 
-def _scan_crossing(model, param, lo, hi, step=1e-4, target=-0.25):
+def _scan_crossing(line, lo, hi, step=1e-4, target=-0.25):
     """Dense-grid oracle: linear interpolation at the sign change."""
     xs = np.arange(lo, hi + step / 2, step)
     prev_x, prev_f = None, None
     for x in xs:
-        f = ks.point_correlation(model, param, float(x))
+        f = line.correlation(float(x))
         if prev_f is not None and (prev_f - target) * (f - target) <= 0.0:
             return prev_x + (target - prev_f) * (x - prev_x) / (f - prev_f)
         prev_x, prev_f = float(x), f
@@ -991,41 +1003,41 @@ def _scan_crossing(model, param, lo, hi, step=1e-4, target=-0.25):
 
 
 def test_find_crossing_matches_dense_scan():
-    m = ks.ChainModel(sites=2)
+    line = ks.CouplingLine(ks.ChainModel(sites=2), "jk")
     tol = 1e-5
-    root = ks.find_crossing(m, "jk", 1.0, 2.0, tol=tol)
-    scan = _scan_crossing(m, "jk", 1.79, 1.84, step=1e-4)
+    root = ks.find_crossing(line, 1.0, 2.0, tol=tol)
+    scan = _scan_crossing(line, 1.79, 1.84, step=1e-4)
     assert abs(root - scan) <= tol + 1e-4
-    assert abs(ks.point_correlation(m, "jk", root) + 0.25) <= 1e-4
+    assert abs(line.correlation(root) + 0.25) <= 1e-4
 
 
 def test_find_crossing_reversal_and_tolerance_containment():
-    m = ks.ChainModel(sites=2)
-    a = ks.find_crossing(m, "jk", 1.0, 2.0, tol=1e-4)
-    b = ks.find_crossing(m, "jk", 2.0, 1.0, tol=1e-4)
+    line = ks.CouplingLine(ks.ChainModel(sites=2), "jk")
+    a = ks.find_crossing(line, 1.0, 2.0, tol=1e-4)
+    b = ks.find_crossing(line, 2.0, 1.0, tol=1e-4)
     assert a == b
-    tight = ks.find_crossing(m, "jk", 1.0, 2.0, tol=1e-6)
+    tight = ks.find_crossing(line, 1.0, 2.0, tol=1e-6)
     assert abs(a - tight) <= 1e-4
 
 
 def test_find_crossing_no_bracket():
-    m = ks.ChainModel(sites=2)
+    line = ks.CouplingLine(ks.ChainModel(sites=2), "jk")
     with pytest.raises(NoBracketError):
-        ks.find_crossing(m, "jk", 1.0, 1.0)
+        ks.find_crossing(line, 1.0, 1.0)
     with pytest.raises(NoBracketError):
-        ks.find_crossing(m, "jk", 0.2, 0.5)  # f_s stays below -1/4 here
+        ks.find_crossing(line, 0.2, 0.5)  # f_s stays below -1/4 here
 
 
 def test_find_crossing_rejects_bad_tol(monkeypatch):
-    m = ks.ChainModel(sites=2)
+    line = ks.CouplingLine(ks.ChainModel(sites=2), "jk")
     for tol in (0.0, -1e-4, math.nan, math.inf, 1e-30):  # 1e-30 needs more than MAX_BISECTIONS halvings
         with pytest.raises(ValueError, match="tol"):
-            ks.find_crossing(m, "jk", 1.0, 2.0, tol=tol)
+            ks.find_crossing(line, 1.0, 2.0, tol=tol)
     # a tol below the float spacing cannot be reached and is refused before any solve
     calls = []
     monkeypatch.setattr(ks.CouplingLine, "correlation", lambda line, value: calls.append(value) or -0.5)
     with pytest.raises(ValueError, match="float resolution"):
-        ks.find_crossing(m, "jk", 1.0, 2.0, tol=1e-17)
+        ks.find_crossing(line, 1.0, 2.0, tol=1e-17)
     assert calls == []
 
 
@@ -1033,7 +1045,7 @@ def test_find_crossing_rejects_jump(monkeypatch):
     # f_s steps over the target at 1.3; the pre-grid sees a monotone rise
     monkeypatch.setattr(ks.CouplingLine, "correlation", lambda line, value: -0.5 if value < 1.3 else 0.0)
     with pytest.raises(NonMonotoneError, match="jumps") as info:
-        ks.find_crossing(ks.ChainModel(sites=2), "jk", 1.0, 2.0, tol=1e-4)
+        ks.find_crossing(ks.CouplingLine(ks.ChainModel(sites=2), "jk"), 1.0, 2.0, tol=1e-4)
     ((a, f_a, b, f_b),) = info.value.points
     assert a < 1.3 <= b and b - a < 1e-4
     assert (f_a, f_b) == (-0.5, 0.0)
@@ -1045,7 +1057,7 @@ def test_find_crossing_accepts_steep_continuous_crossing(monkeypatch):
         return -0.25 + 0.5 * math.tanh(10.0 * (value - 1.37))
 
     monkeypatch.setattr(ks.CouplingLine, "correlation", steep)
-    root = ks.find_crossing(ks.ChainModel(sites=2), "jk", 1.0, 2.0, tol=1e-6)
+    root = ks.find_crossing(ks.CouplingLine(ks.ChainModel(sites=2), "jk"), 1.0, 2.0, tol=1e-6)
     assert abs(root - 1.37) <= 1e-6
 
 
@@ -1088,7 +1100,7 @@ def test_find_crossing_solves_no_value_twice(monkeypatch):
         return -0.25 + 0.5 * math.tanh(value - 1.37)
 
     calls = _count_solves(monkeypatch, f)
-    root = ks.find_crossing(ks.ChainModel(sites=2), "jk", 1.0, 2.0, tol=1e-4)
+    root = ks.find_crossing(ks.CouplingLine(ks.ChainModel(sites=2), "jk"), 1.0, 2.0, tol=1e-4)
     assert len(calls) == len(set(calls)) == 9 + 2
     assert abs(root - 1.37) < 1e-4 / 2
 
@@ -1097,7 +1109,7 @@ def test_find_crossing_rejects_non_finite_target(monkeypatch):
     calls = _count_solves(monkeypatch, lambda value: 0.0)
     for target in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
-            ks.find_crossing(ks.ChainModel(sites=2), "jk", 1.0, 2.0, target_fs=target, tol=1e-4)
+            ks.find_crossing(ks.CouplingLine(ks.ChainModel(sites=2), "jk"), 1.0, 2.0, target_fs=target, tol=1e-4)
     assert calls == []  # refused before any solve
 
 
@@ -1105,7 +1117,7 @@ def test_find_crossing_rejects_non_finite_endpoints(monkeypatch):
     calls = _count_solves(monkeypatch, lambda value: 0.0)
     for lo, hi in ((0.5, math.inf), (0.5, math.nan), (-math.inf, 2.0), (math.nan, 2.0)):
         with pytest.raises(ValueError, match="must be finite"):
-            ks.find_crossing(ks.ChainModel(sites=2), "jk", lo, hi, tol=1e-4)
+            ks.find_crossing(ks.CouplingLine(ks.ChainModel(sites=2), "jk"), lo, hi, tol=1e-4)
     assert calls == []  # refused before any solve
 
 
@@ -1133,7 +1145,7 @@ def test_find_crossing_properties_on_smooth_monotone_f(case):
     f, lo, hi, target, tol = case
     with pytest.MonkeyPatch.context() as mp:
         calls = _count_solves(mp, f)
-        root = ks.find_crossing(ks.ChainModel(sites=2), "jk", lo, hi, target_fs=target, tol=tol)
+        root = ks.find_crossing(ks.CouplingLine(ks.ChainModel(sites=2), "jk"), lo, hi, target_fs=target, tol=tol)
     # f is monotone, so the crossing is within tol/2 of root iff f straddles the target there
     assert (f(root - tol / 2) - target) * (f(root + tol / 2) - target) <= 0.0
     assert len(calls) == len(set(calls))
@@ -1146,7 +1158,7 @@ def test_find_crossing_bisects_when_secant_stalls(monkeypatch):
     f = _smooth_monotone(0.0, 1.0, 1.0, 0.27, [(0.56, 32.5, 0.0286), (0.51, 94.4, 0.464)])
     target, tol = f(0.0) + 0.488 * (f(1.0) - f(0.0)), 1.7e-6
     calls = _count_solves(monkeypatch, f)
-    root = ks.find_crossing(ks.ChainModel(sites=2), "jk", 0.0, 1.0, target_fs=target, tol=tol)
+    root = ks.find_crossing(ks.CouplingLine(ks.ChainModel(sites=2), "jk"), 0.0, 1.0, target_fs=target, tol=tol)
     assert (f(root - tol / 2) - target) * (f(root + tol / 2) - target) <= 0.0
     assert len(calls) - 9 <= _secant_step_bound(0.0, 1.0, tol)
 
@@ -1159,26 +1171,19 @@ def test_find_crossing_step_function_raises_jump(lo, share, log_tol):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ks.CouplingLine, "correlation", lambda line, value: -0.5 if value < edge else 0.0)
         with pytest.raises(NonMonotoneError, match="jumps") as info:
-            ks.find_crossing(ks.ChainModel(sites=2), "jk", lo, lo + 1.0, tol=tol)
+            ks.find_crossing(ks.CouplingLine(ks.ChainModel(sites=2), "jk"), lo, lo + 1.0, tol=tol)
     ((a, _, b, _),) = info.value.points
     assert a < edge <= b and b - a < tol
 
 
 def test_find_crossing_on_the_lanczos_path():
     # dim 1250 at L = 6 is above DENSE_CUTOFF, so every point is a Lanczos solve
-    m = ks.ChainModel(sites=6)
+    line = ks.CouplingLine(ks.ChainModel(sites=6), "jk")
     tol = 1e-4
-    value = ks.find_crossing(m, "jk", 0.5, 6.0, tol=tol)
-    below, above = (ks.point_correlation(m, "jk", value + d) + 0.25 for d in (-tol, tol))
+    value = ks.find_crossing(line, 0.5, 6.0, tol=tol)
+    below, above = (line.correlation(value + d) + 0.25 for d in (-tol, tol))
     assert below * above < 0.0
     assert abs(value - 1.6936836242675781) < tol  # the crossing found by plain bisection
-
-
-def test_find_crossing_refuses_a_line_of_another_model():
-    m = ks.ChainModel(sites=2)
-    for line in (ks.CouplingLine(m, "idirect"), ks.CouplingLine(replace(m, idirect=0.5), "jk")):
-        with pytest.raises(ValueError, match="line runs along"):
-            ks.find_crossing(m, "jk", 1.0, 2.0, tol=1e-4, line=line)
 
 
 def test_find_crossing_non_monotone(monkeypatch):
@@ -1187,5 +1192,5 @@ def test_find_crossing_non_monotone(monkeypatch):
 
     monkeypatch.setattr(ks.CouplingLine, "correlation", fake)
     with pytest.raises(NonMonotoneError) as info:
-        ks.find_crossing(ks.ChainModel(sites=2), "jk", 0.0, 2.0)
+        ks.find_crossing(ks.CouplingLine(ks.ChainModel(sites=2), "jk"), 0.0, 2.0)
     assert info.value.points

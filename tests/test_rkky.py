@@ -50,6 +50,25 @@ def test_f3_matches_quadrature():
             assert abs(val - ref) <= 1e-10
 
 
+@pytest.mark.parametrize("x", [1.35e77, 2e77, 3.3e90, 5e102, 1e200, 1.7e308])
+def test_f3_stays_finite_where_x4_overflows(x):
+    with pytest.raises(OverflowError):
+        x**4
+    val = rkky.f3(x)
+    assert math.isfinite(val)
+    # sin(x) / x^4 is 1/x of -cos(x) / x^3 here, far below the float resolution
+    try:
+        ref = -math.cos(x) / x**3
+    except OverflowError:
+        ref = 0.0
+    assert math.isclose(val, ref, rel_tol=1e-14, abs_tol=1e-320)
+
+
+def test_f3_keeps_the_closed_form_where_x4_is_finite():
+    x = 1.15e77
+    assert rkky.f3(x) == (math.sin(x) - x * math.cos(x)) / x**4
+
+
 def test_f3_sign_alternation():
     assert rkky.f3(4.4) > 0.0 > rkky.f3(4.6)
     assert rkky.f3(7.7) < 0.0 < rkky.f3(7.8)
@@ -156,6 +175,13 @@ def test_params_validation():
         _params(3, 1.0, j=2.0)  # g = 2 outside (0, 1)
     with pytest.raises(DomainError):
         rkky.RkkyParams(j=0.2, fermi_energy=0.0, fermi_wavevector=1.0, dos_fermi=1.0, bandwidth=1.0, dimension=3, distance=1.0)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_coupling_refuses_a_non_finite_x(dim):
+    # both factors are finite, their product 2 k_F R is not
+    with pytest.raises(DomainError, match=r"x = 2 k_F R = inf must be finite"):
+        rkky.coupling(_params(dim, 1e308, kf=1.0))
 
 
 @pytest.mark.parametrize("field", ["j", "fermi_energy", "fermi_wavevector", "dos_fermi", "bandwidth", "distance"])
