@@ -12,7 +12,8 @@ Formats: ``pretty`` (6 significant digits, human), ``csv`` and ``json``
 (17 significant digits, bit-identical across reruns on one BLAS build and
 thread count; the thread count can move the last digits of ED results).
 Exit codes: 0 success, 2 usage or domain error, 3 I/O error, 4 eigensolver
-not converged or non-finite arithmetic in the solve, 5 degenerate ground
+not converged, non-finite arithmetic in the solve, or a coupling line's
+energies that break the Hellmann-Feynman bracket, 5 degenerate ground
 state (a gap below the solver's threshold, or for ``simulate`` and at any
 point ``critical`` solves a ground vector that mixes spin multiplets, seen
 from its S^2), 6 no bracket, 7 non-monotone scan or a jump of f_s over the

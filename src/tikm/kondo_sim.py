@@ -28,10 +28,13 @@ from __future__ import annotations
 
 import math
 import numbers
+from bisect import bisect_left, bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations
-from typing import Callable, Iterable
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 import scipy.sparse as sparse
@@ -50,6 +53,15 @@ from .errors import (
 #: 215 208 states, so the Lanczos block of KRYLOV_DIM + 1 vectors takes
 #: 31 x 1.7 MB, about 53 MB.
 MAX_SITES = 10
+
+#: Largest |hopping|, |jk| or |idirect| a model takes (1e150).  The terms of H
+#: have norms of at most |t| per bond and spin, 3/4 |jk| per impurity and
+#: 3/4 |idirect|, so at MAX_SITES ||H|| <= (2 (MAX_SITES - 1) + 3/2 + 3/4) c
+#: = 20.25 c for couplings up to c in size.  The solvers square norms of
+#: vectors up to ||H psi - E psi|| <= 2 ||H||, and (40.5 c)^2 stays below the
+#: largest double, 1.8e308, for every c below 3.3e152; 1e150 leaves a factor
+#: of 1000 in that square for the other sums of squares.
+MAX_COUPLING = 1e150
 
 #: Sector dimension at and below which the dense eigensolver is used; larger
 #: sectors run thick-restart Lanczos.
@@ -95,12 +107,26 @@ SPIN_MIXING_ATOL = RESIDUAL_RTOL / DEGENERACY_ATOL
 #: and takes at most 2 * MAX_BISECTIONS steps after its pre-grid.
 MAX_BISECTIONS = 64
 
-#: ``find_crossing``'s pre-grid: 2**PRE_GRID_LEVELS + 1 evenly spaced points, ends included.
+#: ``find_crossing``'s pre-grid on ``jk`` lines: 2**PRE_GRID_LEVELS + 1 evenly
+#: spaced points, ends included.  ``idirect`` lines start from their two ends.
 PRE_GRID_LEVELS = 3
 
 #: A final bracket across which f_s changes by more than this many times the
-#: pre-grid's secant slope times the bracket width spans a jump.
+#: secant slope between the search's ends times the bracket width spans a jump.
 JUMP_FACTOR = 100.0
+
+#: The Hellmann-Feynman bracket that ``CouplingLine`` checks between two solved
+#: points p0 < p1 of a line holds with a slack s:
+#: d(p1) - s <= (E1 - E0) / (p1 - p0) <= d(p0) + s, where d = <psi|H_p|psi>
+#: and s = HF_ENERGY_ULPS * eps * max(1, |E0|, |E1|) / (p1 - p0) + HF_SLOPE_ATOL.
+#: The first term covers the rounding of the two energies, each a few ulps of
+#: max(1, |E|): on 4- to 6-point scans 1e-8 apart at L = 4, 5, 6, 8 and 10, on
+#: both kinds of line, the worst excess was 11.7 eps * max(1, |E0|, |E1|) /
+#: (p1 - p0) (at L = 10), so 128 leaves a factor of 10.  The second is the
+#: accuracy the tests state for f_s (dense against Lanczos, 1e-8): d is first
+#: order in the solve's error, the energies second order.
+HF_ENERGY_ULPS = 128
+HF_SLOPE_ATOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -138,6 +164,8 @@ class ChainModel:
                 raise ValueError(f"{name} must be a real number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+            if abs(value) > MAX_COUPLING:
+                raise ValueError(f"{name} must be at most {MAX_COUPLING:g} in size, got {value!r}")
         if self.hopping < 0.0:
             raise ValueError(f"hopping must be >= 0, got {self.hopping!r}")
         if self.jk < 0.0:
@@ -547,6 +575,16 @@ def _thick_restart_lanczos(h, V):
         T[:k, k] = T[k, :k] = beta * Y[n - 1, :k]
 
 
+@contextmanager
+def _strict_arithmetic(what: str) -> Iterator[None]:
+    """Run a block with numpy's overflow, division by zero and NaN raising; they and a LAPACK failure become NotConvergedError."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+        raise NotConvergedError(f"{what} hit non-finite arithmetic ({exc})") from exc
+
+
 def ground_state(h: sparse.csr_matrix) -> GroundStateResult:
     """Lowest eigenpair of a sector Hamiltonian.
 
@@ -563,7 +601,8 @@ def ground_state(h: sparse.csr_matrix) -> GroundStateResult:
     partner within the sector, so the Lanczos path can miss such a
     degeneracy; ``Analysis.singlet`` catches it from S^2 when the partner has
     another S.  Arithmetic that overflows, divides by zero or makes a NaN
-    (couplings near the float limit) also raises NotConvergedError, and so
+    (entries near the float limit, which MAX_COUPLING keeps out of a model's
+    H) also raises NotConvergedError, and so
     does a LAPACK failure, among them a NaN entry of H, for which the dense
     driver finds no eigenvalue.
     """
@@ -572,20 +611,17 @@ def ground_state(h: sparse.csr_matrix) -> GroundStateResult:
         raise EmptySectorError("empty Hamiltonian")
     method = "dense" if dim <= DENSE_CUTOFF else "lanczos"
     iterations = 0
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            if method == "dense":
-                values, vectors = qmat.hermitian_eig(h.toarray(), lowest=2)
-                psi = np.ascontiguousarray(vectors[:, 0])
-                psi /= np.linalg.norm(psi)
-                residual = float(np.linalg.norm(h @ psi - float(values[0]) * psi))
-            else:
-                V = np.empty((min(KRYLOV_DIM, dim) + 1, dim))
-                V[0] = np.random.default_rng(LANCZOS_SEED).standard_normal(dim)
-                V[0] /= np.linalg.norm(V[0])
-                values, psi, iterations, _, residual = _thick_restart_lanczos(h, V)
-    except (FloatingPointError, np.linalg.LinAlgError) as exc:
-        raise NotConvergedError(f"{method.capitalize()} solve hit non-finite arithmetic ({exc})") from exc
+    with _strict_arithmetic(f"{method.capitalize()} solve"):
+        if method == "dense":
+            values, vectors = qmat.hermitian_eig(h.toarray(), lowest=2)
+            psi = np.ascontiguousarray(vectors[:, 0])
+            psi /= np.linalg.norm(psi)
+            residual = float(np.linalg.norm(h @ psi - float(values[0]) * psi))
+        else:
+            V = np.empty((min(KRYLOV_DIM, dim) + 1, dim))
+            V[0] = np.random.default_rng(LANCZOS_SEED).standard_normal(dim)
+            V[0] /= np.linalg.norm(V[0])
+            values, psi, iterations, _, residual = _thick_restart_lanczos(h, V)
     energy = float(values[0])
     if not (math.isfinite(energy) and residual <= 1e-8 * max(1.0, abs(energy))):
         raise NotConvergedError(
@@ -738,6 +774,18 @@ class CouplingLine:
     H_rest value to it as the builder does, and scipy's sum drops the results
     that are exactly zero, as the builder never stores them.  The basis, with
     the RDM index and the S^2 ladder it caches, serves every point.
+
+    ``points`` holds each value the line has solved as (p, E, d), sorted by
+    p, with E the ground energy and d = <psi|H_p|psi>, one matvec with H_p.
+    H is linear in p, so E(p) is concave, as a minimum of functions linear in
+    p, and d = dE/dp (Hellmann-Feynman).  Every new point is checked against
+    its nearest solved neighbour on each side: for p0 < p1,
+    d(p1) <= (E1 - E0) / (p1 - p0) <= d(p0), within the slack of
+    HF_ENERGY_ULPS and HF_SLOPE_ATOL.  A solve that lands on a level above the
+    sector ground state breaks it, and NotConvergedError names both points.
+    On an ``idirect`` line H_p = S_A . S_B, so d is f_s and the check tests
+    the RDM's f_s against the energies; a vector that mixes a degenerate
+    ground level passes it, and ``Analysis.singlet`` refuses it instead.
     """
 
     def __init__(self, model: ChainModel, param: str) -> None:
@@ -750,6 +798,7 @@ class CouplingLine:
         self._unit = build_hamiltonian(
             replace(model, **{"hopping": 0.0, "jk": 0.0, "idirect": 0.0, param: 1.0}), self.basis
         )
+        self.points: list[tuple[float, float, float]] = []
 
     def hamiltonian(self, value: float) -> sparse.csr_matrix:
         """H at ``param`` = ``value``; ``value`` is checked as ``ChainModel`` checks that coupling."""
@@ -757,14 +806,45 @@ class CouplingLine:
         return self._rest + p * self._unit
 
     def analyze(self, value: float) -> Analysis:
-        """``model_at(model, param, value).analyze()``, solved on H(value)."""
-        return _reduce(self.basis, ground_state(self.hamiltonian(value)))
+        """``model_at(model, param, value).analyze()``, solved on H(value), once the point passes the bracket check."""
+        g = ground_state(self.hamiltonian(value))
+        self._add_point(float(value), g)
+        return _reduce(self.basis, g)
 
     def correlation(self, value: float) -> float:
         """f_s at ``value``, once ``Analysis.singlet`` has refused a ground vector that mixes spin multiplets."""
         a = self.analyze(value)
         a.singlet()
         return a.f_s
+
+    def _add_point(self, p: float, g: GroundStateResult) -> None:
+        """Check (p, E, d) against its solved neighbours, then add it to ``points`` unless p is solved already."""
+        with _strict_arithmetic("the Hellmann-Feynman check"):
+            point = (p, g.energy, float(g.amplitudes @ (self._unit @ g.amplitudes)))
+            i = bisect_left(self.points, p, key=itemgetter(0))
+            j = bisect_right(self.points, p, key=itemgetter(0))
+            if i > 0:
+                self._check_bracket(self.points[i - 1], point)
+            if j < len(self.points):
+                self._check_bracket(point, self.points[j])
+        if i == j:
+            self.points.insert(i, point)
+
+    def _check_bracket(self, left: tuple[float, float, float], right: tuple[float, float, float]) -> None:
+        """Raise NotConvergedError unless d(p1) <= (E1 - E0) / (p1 - p0) <= d(p0) holds within its slack.
+
+        Both sides are multiplied by p1 - p0 > 0, so no division can overflow.
+        """
+        (p0, e0, d0), (p1, e1, d1) = left, right
+        width = p1 - p0
+        rise = np.float64(e1) - e0
+        slack = HF_ENERGY_ULPS * np.finfo(float).eps * max(1.0, abs(e0), abs(e1)) + HF_SLOPE_ATOL * width
+        if d1 * width - rise > slack or rise - d0 * width > slack:
+            raise NotConvergedError(
+                f"the energies at {self.param} = {p0!r} and {p1!r} break the Hellmann-Feynman bracket "
+                f"d(p1) <= (E1 - E0) / (p1 - p0) <= d(p0): {d1:.12g} <= {rise / width:.12g} <= {d0:.12g} fails, "
+                "so one of the two solves missed the sector ground state"
+            )
 
 
 def find_crossing(
@@ -778,13 +858,20 @@ def find_crossing(
 
     Every point is solved on ``line``, so a caller can solve more points on
     it.  A point whose ground vector mixes spin multiplets raises
-    DegenerateGroundError (``CouplingLine.correlation``).
+    DegenerateGroundError (``CouplingLine.correlation``), and one whose
+    energies break the Hellmann-Feynman bracket with its solved neighbours
+    raises NotConvergedError (``CouplingLine``).
 
-    Monotonicity of f_s is checked on an evenly spaced pre-grid of
-    2**PRE_GRID_LEVELS + 1 points (NonMonotoneError lists the offending
-    ones) and the endpoints must straddle the target (NoBracketError
-    otherwise).  The search then narrows the pre-grid cell
-    whose ends straddle the target with a safeguarded secant method (Brent,
+    The search starts from an evenly spaced pre-grid: on a ``jk`` line
+    2**PRE_GRID_LEVELS + 1 points, on which f_s must be monotone
+    (NonMonotoneError lists the offending pairs), as nothing makes it so in
+    jk.  On an ``idirect`` line it is the two ends alone: H_p = S_A . S_B, so
+    f_s = dE/dp is non-increasing in p, and the line checks that bracket
+    between every point and its solved neighbours.  On both kinds of line f_s
+    must differ between the ends (NonMonotoneError for a flat line) and the
+    ends must straddle the target (NoBracketError otherwise).  The search then
+    narrows the pre-grid cell whose ends straddle the target with a
+    safeguarded secant method (Brent,
     *Algorithms for Minimization without Derivatives*, 1973, ch. 4).  Each
     step solves the secant estimate through the two most recently solved
     points, kept at least tol/2 inside the bracket, so that once the
@@ -799,10 +886,10 @@ def find_crossing(
     finite, positive, reachable within MAX_BISECTIONS halvings and above
     twice the float spacing at the bracket ends; then every step lands
     strictly inside the bracket, so no value is solved twice.  A crossing
-    must be continuous: if f_s changes across the
-    final bracket by more than JUMP_FACTOR (100) times the pre-grid's secant
-    slope times the bracket width, f_s jumps over the target there and
-    NonMonotoneError is raised.  ``lo``, ``hi`` and ``target_fs`` must be
+    must be continuous: if f_s changes across the final bracket by more than
+    JUMP_FACTOR (100) times its secant slope between ``lo`` and ``hi`` times
+    the bracket width, f_s jumps over the target there and NonMonotoneError
+    is raised.  ``lo``, ``hi`` and ``target_fs`` must be
     finite.  Endpoint order does not matter.
     """
     lo, hi = float(lo), float(hi)
@@ -820,7 +907,8 @@ def find_crossing(
         raise ValueError(f"tol {tol!r} is below the float resolution of [{lo}, {hi}]")
     if not math.isfinite(target_fs):
         raise ValueError(f"target_fs must be finite, got {target_fs!r}")
-    xs = np.linspace(lo, hi, 2**PRE_GRID_LEVELS + 1).tolist()
+    # the bracket check the line runs makes f_s monotone in idirect, so its ends suffice
+    xs = np.linspace(lo, hi, 2**PRE_GRID_LEVELS + 1 if line.param == "jk" else 2).tolist()
     fs = [line.correlation(x) for x in xs]
     direction = np.sign(fs[-1] - fs[0])
     offending = [

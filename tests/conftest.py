@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from tikm import kondo_sim as ks
@@ -20,3 +21,38 @@ def solve_on():
         return g
 
     return solve
+
+
+@pytest.fixture
+def excite_solve(monkeypatch):
+    """``excite_solve(n)``: the n-th ``ground_state`` call from then on returns the first excited eigenpair.
+
+    That pair comes from numpy's full dense spectrum, so keep to sectors small
+    enough for one; every other call solves as usual.
+    """
+
+    def patch(n):
+        solve = ks.ground_state
+        count = 0
+
+        def fake(h):
+            nonlocal count
+            count += 1
+            if count != n:
+                return solve(h)
+            values, vectors = np.linalg.eigh(h.toarray())
+            psi = vectors[:, 1].copy()
+            gap = float(values[2] - values[1])
+            return ks.GroundStateResult(
+                energy=float(values[1]),
+                amplitudes=psi,
+                iterations=0,
+                residual_norm=float(np.linalg.norm(h @ psi - values[1] * psi)),
+                degenerate=gap < ks.DEGENERACY_ATOL,
+                gap=gap,
+                method="dense",
+            )
+
+        monkeypatch.setattr(ks, "ground_state", fake)
+
+    return patch

@@ -240,24 +240,24 @@ def test_simulate_mirrored_fillings_agree(capsys, sites, nup, ndn, method):
     assert abs(a["energy"] - b["energy"]) <= 1e-8 and abs(a["fs"] - b["fs"]) <= 1e-8
 
 
-def test_simulate_non_finite_solve_exits_not_converged():
-    # a hopping of 1e308 overflows the dense solve; the command runs in a
+def test_simulate_refuses_a_hopping_near_the_float_limit():
+    # a hopping of 1e308 overflowed the dense solve (exit 4) before
+    # ChainModel refused couplings above MAX_COUPLING; the command runs in a
     # fresh interpreter, so a warning numpy printed would show in stderr
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     argv = ["simulate", "--sites", "4", "--hopping", "1e308", "--jk", "1", "--format", "json"]
     result = subprocess.run([sys.executable, "-m", "tikm.cli", *argv], env=env, capture_output=True, text=True,
                             timeout=60)
-    assert result.returncode == 4 and result.stdout == ""
-    assert result.stderr == "tikm: Dense solve hit non-finite arithmetic (invalid value encountered in multiply)\n"
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr == "tikm: hopping must be at most 1e+150 in size, got 1e+308\n"
 
 
-def test_simulate_non_finite_lanczos_solve_exits_not_converged(capsys):
-    # a Kondo coupling of 1e308 overflows the first Lanczos step; before the
-    # solve ran under np.errstate this left LAPACK's "Eigenvalues did not
-    # converge" (a ValueError, exit 2)
+def test_simulate_refuses_a_kondo_coupling_near_the_float_limit(capsys):
+    # a Kondo coupling of 1e308 overflowed the first Lanczos step (exit 4);
+    # it is now refused before the basis is enumerated
     code, out, err = run(capsys, "simulate", "--sites", "8", "--jk", "1e308", "--format", "json")
-    assert code == 4 and out == ""
-    assert err.startswith("tikm: ") and err.count("\n") == 1 and "non-finite arithmetic" in err
+    assert code == 2 and out == ""
+    assert err == "tikm: jk must be at most 1e+150 in size, got 1e+308\n"
 
 
 @pytest.mark.parametrize(
@@ -402,20 +402,34 @@ def test_critical_jump_exit(capsys):
 
 
 def test_critical_refuses_a_mixed_ground_vector(capsys):
-    # at jk = 0 the impurities are free, and at idirect = 0, a pre-grid point of
-    # [-0.5, 1.5], singlet and triplet are degenerate; the Lanczos vector mixes
-    # them, and its f_s 0.2006 read as a jump (exit 7) before the S^2 check
+    # at jk = 0 the impurities are free, and at idirect = 0, the second
+    # bisection point of [-0.5, 1.5], singlet and triplet are degenerate; the
+    # Lanczos vector mixes them, and its f_s 0.2006 read as a jump (exit 7)
+    # before the S^2 check
     code, out, err = run(capsys, "critical", "--sites", "6", "--param", "idirect", "--jk", "0",
                          "--min", "-0.5", "--max", "1.5", "--format", "json")
     assert code == 5 and "mixes spin multiplets" in err and out == ""
 
 
 def test_critical_free_impurities_jump_exit(capsys):
-    # no pre-grid point of [-0.4, 1.3] lands on idirect = 0, and the points
-    # beside it are pure: f_s jumps from 1/4 to -3/4 there
+    # no point the search solves on [-0.4, 1.3], from the two ends on, lands
+    # on idirect = 0, and the points beside it are pure: f_s jumps from 1/4 to
+    # -3/4 there
     code, out, err = run(capsys, "critical", "--sites", "6", "--param", "idirect", "--jk", "0",
                          "--min", "-0.4", "--max", "1.3", "--format", "json")
     assert code == 7 and "jumps" in err and "from 0.250000 to -0.750000" in err and out == ""
+
+
+def test_critical_exits_4_when_a_solve_misses_the_ground_state(capsys, excite_solve):
+    # the third solve, the search's first secant step, returns the first
+    # excited eigenpair; its energy breaks the Hellmann-Feynman bracket with
+    # the solved ends
+    excite_solve(3)
+    code, out, err = run(capsys, "critical", "--sites", "4", "--param", "idirect", "--jk", "3",
+                         "--min", "0", "--max", "2", "--format", "json")
+    assert code == 4 and out == ""
+    assert err.startswith("tikm: the energies at idirect = ") and err.count("\n") == 1
+    assert "break the Hellmann-Feynman bracket" in err
 
 
 def test_critical_assembles_once(capsys, monkeypatch):

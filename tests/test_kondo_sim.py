@@ -71,6 +71,30 @@ def test_model_rejects_non_finite_couplings(field, value):
 
 
 @pytest.mark.parametrize("field", ["hopping", "jk", "idirect"])
+def test_model_refuses_couplings_near_the_float_limit(field):
+    assert getattr(ks.ChainModel(sites=2, **{field: ks.MAX_COUPLING}), field) == ks.MAX_COUPLING
+    for value in (np.nextafter(ks.MAX_COUPLING, math.inf), 1e308):
+        with pytest.raises(ValueError, match=f"{field} must be at most 1e\\+150 in size"):
+            ks.ChainModel(sites=2, **{field: value})
+    if field == "idirect":
+        assert ks.ChainModel(sites=2, idirect=-ks.MAX_COUPLING).idirect == -ks.MAX_COUPLING
+        with pytest.raises(ValueError, match="idirect must be at most"):
+            ks.ChainModel(sites=2, idirect=-1e308)
+
+
+def test_couplings_at_the_bound_keep_the_solvers_squares_finite():
+    # Gershgorin: the largest absolute column sum of H bounds ||H||; with
+    # every coupling at MAX_COUPLING on MAX_SITES it is 20.25 MAX_COUPLING,
+    # and the square of 2 ||H||, which bounds ||H psi - E psi||^2, is finite
+    c = ks.MAX_COUPLING
+    model = ks.ChainModel(sites=ks.MAX_SITES, hopping=c, jk=c, idirect=c)
+    h = ks.build_hamiltonian(model, ks.build_basis(model))
+    bound = float(abs(h).sum(axis=0).max())
+    assert bound == pytest.approx((2 * (ks.MAX_SITES - 1) + 1.5 + 0.75) * c, rel=1e-12)
+    assert math.isfinite((2.0 * bound) ** 2)
+
+
+@pytest.mark.parametrize("field", ["hopping", "jk", "idirect"])
 @pytest.mark.parametrize("value", [True, "0.5", 1 + 0j, None])
 def test_model_rejects_non_real_couplings(field, value):
     with pytest.raises(ValueError, match="must be a real number"):
@@ -900,6 +924,63 @@ def test_coupling_line_refuses_a_mixed_ground_vector(model):
         line.correlation(0.0)
 
 
+@pytest.mark.parametrize(
+    "param, fixed, lo, hi, solve",
+    [("idirect", {"jk": 3.0}, 0.0, 2.0, 3), ("jk", {}, 0.5, 6.0, 10)],
+    ids=["idirect", "jk"],
+)
+def test_find_crossing_refuses_a_solve_that_misses_the_ground_state(excite_solve, param, fixed, lo, hi, solve):
+    # the search's first secant step, after its two ends or its 9-point
+    # pre-grid, returns the first excited eigenpair of its sector (dim 104)
+    excite_solve(solve)
+    line = ks.CouplingLine(ks.ChainModel(sites=4, **fixed), param)
+    with pytest.raises(NotConvergedError, match=f"the energies at {param} = .* and .* break the Hellmann-Feynman"):
+        ks.find_crossing(line, lo, hi, tol=1e-4)
+    assert len(line.points) == solve - 1  # the excited point is not recorded
+
+
+def test_coupling_line_records_each_value_once_in_order():
+    line = ks.CouplingLine(ks.ChainModel(sites=4, jk=1.0), "idirect")
+    for value in (0.5, -0.25, 1.5, 0.5):
+        line.analyze(value)
+    assert [p for p, _, _ in line.points] == [-0.25, 0.5, 1.5]
+    assert all(e == line.analyze(p).ground.energy for p, e, _ in line.points)
+
+
+#: Step of the central differences below.  Their rounding, a few
+#: eps max(1, |E|) / h, is about 1e-10 at L <= 6, and their truncation error,
+#: h^2 |d^3E/dp^3| / 6, grows only as a level nears the ground state; the
+#: worst difference from d over the drawn models is 5.7e-8.
+_HF_STEP = 1e-4
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_line_points())
+@example((ks.ChainModel(sites=6, jk=1.1, idirect=0.3, xa=0, xb=5), "idirect", -0.8, "lanczos"))
+@example((ks.ChainModel(sites=6, jk=2.0), "idirect", 0.25, "lanczos"))
+@example((ks.ChainModel(sites=5, jk=0.7, nup=3, ndn=2), "jk", 1.2, "dense"))
+def test_coupling_line_energy_slope_is_its_derivative(case):
+    # H(p) = H_rest + p * H_p, so dE/dp = <psi|H_p|psi> (Hellmann-Feynman): the
+    # central difference of the line's energies matches the d it records, and
+    # on an idirect line, where H_p = S_A . S_B, d is the RDM's f_s
+    model, param, value, path = case
+    line = ks.CouplingLine(model, param)
+    p, h = value + _HF_STEP, _HF_STEP
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ks, "DENSE_CUTOFF", line.basis.dim - (path == "lanczos"))
+        try:
+            a = line.analyze(p)
+            line.analyze(p - h)
+            line.analyze(p + h)
+        except DegenerateGroundError:
+            return  # d of a degenerate level depends on the vector the solver picks
+    (_, e_lo, _), (_, e, d), (_, e_hi, _) = line.points
+    assert a.ground.energy == e
+    assert abs((e_hi - e_lo) / (2 * h) - d) <= 1e-6
+    if param == "idirect":
+        assert abs(d - a.f_s) <= 1e-12
+
+
 # ---------------------------------------------------------------- sweep
 
 
@@ -1009,6 +1090,18 @@ def test_find_crossing_matches_dense_scan():
     scan = _scan_crossing(line, 1.79, 1.84, step=1e-4)
     assert abs(root - scan) <= tol + 1e-4
     assert abs(line.correlation(root) + 0.25) <= 1e-4
+
+
+def test_find_crossing_idirect_matches_dense_scan():
+    # the idirect twin of the test above, on the Lanczos path (dim 1250), from
+    # the two ends; the scan's 151 points, 1e-4 apart, all pass the line's
+    # Hellmann-Feynman check
+    line = ks.CouplingLine(ks.ChainModel(sites=6, jk=2.0), "idirect")
+    tol = 1e-4
+    root = ks.find_crossing(line, -0.5, 2.0, tol=tol)
+    scan = _scan_crossing(line, 0.25, 0.265, step=1e-4)
+    assert abs(root - scan) <= tol / 2
+    assert line.points[0][0] == -0.5 and line.points[-1][0] == 2.0
 
 
 def test_find_crossing_reversal_and_tolerance_containment():
@@ -1150,6 +1243,20 @@ def test_find_crossing_properties_on_smooth_monotone_f(case):
     assert (f(root - tol / 2) - target) * (f(root + tol / 2) - target) <= 0.0
     assert len(calls) == len(set(calls))
     assert len(calls) - (2**ks.PRE_GRID_LEVELS + 1) <= _secant_step_bound(lo, hi, tol)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_monotone_crossings())
+def test_idirect_search_starts_from_its_two_ends(case):
+    # no pre-grid: the two ends, then at most 2 * ceil(log2((hi - lo) / tol)) + 2 steps
+    f, lo, hi, target, tol = case
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_solves(mp, f)
+        root = ks.find_crossing(ks.CouplingLine(ks.ChainModel(sites=2), "idirect"), lo, hi, target_fs=target, tol=tol)
+    assert calls[:2] == [lo, hi]
+    assert (f(root - tol / 2) - target) * (f(root + tol / 2) - target) <= 0.0
+    assert len(calls) == len(set(calls))
+    assert len(calls) <= 2 + 2 * math.ceil(math.log2((hi - lo) / tol)) + 2
 
 
 def test_find_crossing_bisects_when_secant_stalls(monkeypatch):
