@@ -577,7 +577,7 @@ def _thick_restart_lanczos(h, V):
 
 @contextmanager
 def _strict_arithmetic(what: str) -> Iterator[None]:
-    """Run a block with numpy's overflow, division by zero and NaN raising; they and a LAPACK failure become NotConvergedError."""
+    """Run a block so that overflow, division by zero, a NaN or a LAPACK failure raises NotConvergedError."""
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             yield

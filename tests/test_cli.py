@@ -402,10 +402,10 @@ def test_critical_jump_exit(capsys):
 
 
 def test_critical_refuses_a_mixed_ground_vector(capsys):
-    # at jk = 0 the impurities are free, and at idirect = 0, the second
-    # bisection point of [-0.5, 1.5], singlet and triplet are degenerate; the
-    # Lanczos vector mixes them, and its f_s 0.2006 read as a jump (exit 7)
-    # before the S^2 check
+    # at jk = 0 the impurities are free, and at idirect = 0, within round-off
+    # of the fourth point the search solves on [-0.5, 1.5], singlet and
+    # triplet are degenerate; the Lanczos vector mixes them, and its f_s
+    # 0.2006 read as a jump (exit 7) before the S^2 check
     code, out, err = run(capsys, "critical", "--sites", "6", "--param", "idirect", "--jk", "0",
                          "--min", "-0.5", "--max", "1.5", "--format", "json")
     assert code == 5 and "mixes spin multiplets" in err and out == ""
