@@ -28,8 +28,10 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations
@@ -127,6 +129,30 @@ JUMP_FACTOR = 100.0
 #: order in the solve's error, the energies second order.
 HF_ENERGY_ULPS = 128
 HF_SLOPE_ATOL = 1e-8
+
+#: Least |p| > 0 at which H_rest + p * H_p gives the direct build of H: every
+#: entry of H_p is a power of two of at least 1/4 in size, so from here on
+#: p * H_p rounds nothing.  Below it the sum can round where the builder does
+#: not: at jk = 2 * 5e-324, a diagonal entry that sums two Kondo terms of
+#: jk / 4 each is 0 built directly and 5e-324 in the sum.
+EXACT_SCALE_MIN = 4 * sys.float_info.min
+
+#: While ``sweep`` runs: its parameter and a dict of what its points build
+#: alike, each sector basis by (sites, nelec, sz2) and, on ``jk`` and
+#: ``idirect`` rows, each H_rest + p * H_p pair by sector, placement and the
+#: couplings the row keeps fixed.  None outside a sweep, so nothing a sweep
+#: built outlives it.
+_SWEEP_REUSE: ContextVar[tuple[str, dict] | None] = ContextVar("_SWEEP_REUSE", default=None)
+
+
+@contextmanager
+def _reuse(scope: tuple[str, dict] | None) -> Iterator[None]:
+    """Run a block with ``_SWEEP_REUSE`` set to ``scope``, and restore it when the block ends."""
+    token = _SWEEP_REUSE.set(scope)
+    try:
+        yield
+    finally:
+        _SWEEP_REUSE.reset(token)
 
 
 @dataclass(frozen=True)
@@ -263,10 +289,20 @@ def build_basis(model: ChainModel, sz_total: float | None = None) -> SectorBasis
 
     The enumeration is exhaustive and duplicate free: for each impurity
     configuration the electron up/down split is fixed by the S^z balance, and
-    every up occupation is joined with every down occupation.
+    every up occupation is joined with every down occupation.  While a
+    ``sweep`` runs, each sector is enumerated once and its one basis, with the
+    RDM index and S^2 ladder it caches, serves every point; outside a sweep
+    each call enumerates a new one.
     """
     sz2 = model.default_sz2() if sz_total is None else _sz2_of(sz_total)
-    return _sector_basis(model.sites, model.nelec, sz2)
+    sector = (model.sites, model.nelec, sz2)
+    scope = _SWEEP_REUSE.get()
+    if scope is None:
+        return _sector_basis(*sector)
+    shared = scope[1]
+    if sector not in shared:
+        shared[sector] = _sector_basis(*sector)
+    return shared[sector]
 
 
 def _sector_basis(L: int, ne: int, sz2: int) -> SectorBasis:
@@ -367,7 +403,31 @@ def _hamiltonian_terms(model: ChainModel, basis: SectorBasis, emit: Callable[...
 
 
 def build_hamiltonian(model: ChainModel, basis: SectorBasis) -> sparse.csr_matrix:
-    """The sector Hamiltonian from ``_hamiltonian_terms`` as a real symmetric CSR matrix that stores no zero."""
+    """The sector Hamiltonian from ``_hamiltonian_terms`` as a real symmetric CSR matrix that stores no zero.
+
+    While a ``jk`` or ``idirect`` sweep runs, H on a basis of the sweep's own
+    is the sum H_rest + p * H_p of ``_coupling_pair``, built once per sector
+    for the whole row and dropped when the sweep returns; that sum is this
+    function's direct build array for array (see ``CouplingLine``).
+    """
+    scope = _SWEEP_REUSE.get()
+    if scope is None or scope[0] not in ("jk", "idirect"):
+        return _assemble(model, basis)
+    param, shared = scope
+    sector = (basis.sites, basis.nelec, basis.sz2)
+    if shared.get(sector) is not basis:
+        return _assemble(model, basis)
+    key = (sector, model.xa, model.xb) + tuple(getattr(model, c) for c in ("hopping", "jk", "idirect") if c != param)
+    if key not in shared:
+        # the two parts go through this function, where the benchmark's
+        # tracer sees them, so they are built with the scope unset
+        with _reuse(None):
+            shared[key] = _coupling_pair(model, param, basis)
+    return _pair_sum(shared[key], model, param, basis)
+
+
+def _assemble(model: ChainModel, basis: SectorBasis) -> sparse.csr_matrix:
+    """``build_hamiltonian``'s direct build: every term of ``_hamiltonian_terms`` summed into one CSR matrix."""
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     vals: list[np.ndarray] = []
@@ -391,6 +451,27 @@ def build_hamiltonian(model: ChainModel, basis: SectorBasis) -> sparse.csr_matri
     h = coo.tocsr()
     h.eliminate_zeros()  # an exchange term can underflow to 0, as 0.5 * 5e-324 does
     return h
+
+
+def _coupling_pair(model: ChainModel, param: str, basis: SectorBasis) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
+    """H_rest, the model at ``param`` = 0, and H_p, that coupling alone at 1, on ``basis``.
+
+    H_rest + p * H_p is the model's H at ``param`` = p array for array; see
+    ``CouplingLine``, which holds one such pair, as a sweep's points share one
+    per sector.
+    """
+    rest = build_hamiltonian(replace(model, **{param: 0.0}), basis)
+    unit = build_hamiltonian(replace(model, **{"hopping": 0.0, "jk": 0.0, "idirect": 0.0, param: 1.0}), basis)
+    return rest, unit
+
+
+def _pair_sum(pair: tuple[sparse.csr_matrix, sparse.csr_matrix], model: ChainModel, param: str, basis: SectorBasis) -> sparse.csr_matrix:
+    """``model``'s H from its ``_coupling_pair``: H_rest + p * H_p, or the direct build where that sum could round."""
+    p = getattr(model, param)
+    if 0.0 < abs(p) < EXACT_SCALE_MIN:
+        return _assemble(model, basis)
+    rest, unit = pair
+    return rest + p * unit
 
 
 def _joined(parts: list[np.ndarray]) -> np.ndarray:
@@ -748,7 +829,13 @@ def sweep(
 
     Points are evaluated serially, in grid order, on the calling thread.
     ``max_workers`` is ignored; it stays only because the benchmark's tests
-    (``bench/test_bench.py``) still pass it.  Points
+    (``bench/test_bench.py``) still pass it.  While the sweep runs, its points
+    share what they would build alike: ``build_basis`` enumerates each sector
+    once, and on ``jk`` and ``idirect`` rows ``build_hamiltonian`` sums one
+    H_rest + p * H_p pair per sector (``_coupling_pair``), which gives its
+    direct build bit for bit, so every point's output is what it is outside a
+    sweep.  A ``separation`` row shares only the bases, as each placement
+    has its own H.  Nothing is kept once the sweep returns.  Points
     whose ground state is degenerate within its sector (on the Lanczos path
     also a ground vector that mixes spin multiplets, see
     ``Analysis.singlet``), or that fail for any other reason, come back with
@@ -759,20 +846,23 @@ def sweep(
     """
     if param not in _SWEEP_PARAMS:
         raise ValueError(f"param must be one of {_SWEEP_PARAMS}, got {param!r}")
-    return [_analyze_point(model, param, float(v)) for v in grid]
+    with _reuse((param, {})):
+        return [_analyze_point(model, param, float(v)) for v in grid]
 
 
 class CouplingLine:
     """A model's sector Hamiltonian along one coupling p: H(p) = H_rest + p * H_p, each part built once.
 
     ``param`` names p, ``jk`` or ``idirect``; the other couplings keep the
-    model's values.  The line holds two matrices from ``build_hamiltonian``:
-    H_rest, the model at p = 0, and H_p, that coupling alone at p = 1.  A
+    model's values.  The line holds the two matrices of ``_coupling_pair``,
+    each from ``build_hamiltonian``: H_rest, the model at p = 0, and H_p,
+    that coupling alone at p = 1; a ``sweep`` row sums the same pair.  A
     point is their sum, which gives build_hamiltonian(model_at(model, param,
     p)) array for array: every entry of H_p is a power of two, so p * H_p
-    rounds nothing (short of subnormal results), a diagonal entry adds one
-    H_rest value to it as the builder does, and scipy's sum drops the results
-    that are exactly zero, as the builder never stores them.  The basis, with
+    rounds nothing, a diagonal entry adds one H_rest value to it as the
+    builder does, and scipy's sum drops the results that are exactly zero, as
+    the builder never stores them.  A nonzero |p| below EXACT_SCALE_MIN, where
+    p * H_p could round, is built directly instead (``_pair_sum``).  The basis, with
     the RDM index and the S^2 ladder it caches, serves every point.
 
     ``points`` holds each value the line has solved as (p, E, d), sorted by
@@ -794,16 +884,12 @@ class CouplingLine:
         self.model = model
         self.param = param
         self.basis = build_basis(model)
-        self._rest = build_hamiltonian(replace(model, **{param: 0.0}), self.basis)
-        self._unit = build_hamiltonian(
-            replace(model, **{"hopping": 0.0, "jk": 0.0, "idirect": 0.0, param: 1.0}), self.basis
-        )
+        self._rest, self._unit = _coupling_pair(model, param, self.basis)
         self.points: list[tuple[float, float, float]] = []
 
     def hamiltonian(self, value: float) -> sparse.csr_matrix:
         """H at ``param`` = ``value``; ``value`` is checked as ``ChainModel`` checks that coupling."""
-        p = getattr(model_at(self.model, self.param, value), self.param)
-        return self._rest + p * self._unit
+        return _pair_sum((self._rest, self._unit), model_at(self.model, self.param, value), self.param, self.basis)
 
     def analyze(self, value: float) -> Analysis:
         """``model_at(model, param, value).analyze()``, solved on H(value), once the point passes the bracket check."""

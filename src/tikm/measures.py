@@ -37,7 +37,7 @@ def pauli_coefficients(rho: np.ndarray) -> np.ndarray:
 def spin_correlation(rho: np.ndarray) -> float:
     """f_s = <S_A . S_B> = (r_xx + r_yy + r_zz) / 4."""
     r = pauli_coefficients(rho)
-    return (r[1, 1] + r[2, 2] + r[3, 3]) / 4.0
+    return float((r[1, 1] + r[2, 2] + r[3, 3]) / 4.0)
 
 
 def werner_residual(rho: np.ndarray) -> float:
@@ -56,7 +56,7 @@ def werner_residual(rho: np.ndarray) -> float:
                 stray = max(stray, abs(r[a, b]))
     diag = np.array([r[1, 1], r[2, 2], r[3, 3]])
     spread = float(np.abs(diag - diag.mean()).max())
-    return max(stray, spread)
+    return float(max(stray, spread))
 
 
 def concurrence_wootters(rho: np.ndarray) -> float:

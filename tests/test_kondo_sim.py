@@ -1,6 +1,9 @@
+import gc
 import itertools
 import math
+import sys
 import threading
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -885,6 +888,7 @@ def _outcome(analyze):
 @example((ks.ChainModel(sites=5, jk=0.7, nup=3, ndn=2), "idirect", 0.0, "dense"))
 @example((ks.ChainModel(sites=4, jk=0.9, idirect=0.4, xa=1, xb=1), "jk", 1.7, "dense"))  # shared site
 @example((ks.ChainModel(sites=6, jk=1.3, idirect=0.6), "idirect", -0.0, "lanczos"))  # -0.0 * H_p
+@example((ks.ChainModel(sites=4), "jk", 2 * 5e-324, "dense"))  # built directly: the sum would round
 def test_coupling_line_equals_a_rebuild(case):
     # H(p) = H_rest + p * H_p is exact: it is the rebuilt matrix array for
     # array, neither storing a zero, and the solves on both agree to the bit
@@ -1061,6 +1065,84 @@ def test_sweep_refuses_a_mixed_lanczos_vector(model):
     (point,) = ks.sweep(model, "idirect", [0.0])
     assert point.error.startswith("DegenerateGroundError") and "mixes spin multiplets" in point.error
     assert point.f_s is None
+
+
+@st.composite
+def _sweep_rows(draw):
+    """A random L <= 6 model (placement, filling, hopping 0 or not), a coupling and a grid on it.
+
+    The grid mixes 0, -0.0, subnormal values (small multiples of the least
+    one among them, where p * H_p would round) and values of order one, of
+    either sign on ``idirect``.
+    """
+    model = replace(draw(_small_models()), hopping=draw(st.sampled_from((1.0, 0.0))))
+    param = draw(st.sampled_from(("jk", "idirect")))
+    size = st.one_of(
+        st.sampled_from((0.0, -0.0)),
+        st.integers(1, 64).map(lambda k: k * 5e-324),
+        st.floats(0.0, sys.float_info.min, exclude_min=True, exclude_max=True),
+        st.floats(0.1, 3.0),
+    )
+    signed = size if param == "jk" else st.tuples(size, st.sampled_from((1.0, -1.0))).map(lambda v: v[0] * v[1])
+    return model, param, draw(st.lists(signed, min_size=1, max_size=4))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_sweep_rows())
+@example((ks.ChainModel(sites=4), "jk", [2 * 5e-324, 6 * 5e-324, 1.0]))  # two jk / 4 terms on a diagonal entry
+@example((ks.ChainModel(sites=4, jk=0.7, xa=1, xb=1), "idirect", [-0.0, -3 * 5e-324, 0.0, -1.5]))
+def test_sweep_builds_each_hamiltonian_as_the_direct_build(row):
+    # inside a sweep, H is H_rest + p * H_p on a basis its points share, in the
+    # natural sector and in the sector singlet_check solves; each must be the
+    # direct build array for array, and exactly symmetric
+    model, param, grid = row
+    built = []
+
+    def build(m, p, value):
+        at = ks.model_at(m, p, value)
+        sz2 = at.default_sz2()
+        for sz in (sz2 / 2, (sz2 + (2 if sz2 >= 0 else -2)) / 2):
+            assert ks.build_basis(at, sz) is ks.build_basis(at, sz)
+            built.append((at, sz, ks.build_hamiltonian(at, ks.build_basis(at, sz))))
+        return ks.SweepPoint(value=value)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ks, "_analyze_point", build)
+        ks.sweep(model, param, grid)
+    assert len(built) == 2 * len(grid)
+    for at, sz, h in built:
+        ref = ks.build_hamiltonian(at, ks.build_basis(at, sz))
+        for part in ("indptr", "indices", "data"):
+            got, want = getattr(h, part), getattr(ref, part)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (at, sz, part)
+        assert (h - h.T).nnz == 0
+
+
+def test_sweep_keeps_nothing_once_it_returns(monkeypatch):
+    # the points of a sweep share its bases and one H_rest + p * H_p pair per
+    # sector; the sweep drops them all when it returns
+    held, kinds, assembled = [], set(), []
+    analyze_point, assemble = ks._analyze_point, ks._assemble
+
+    def watching(model, param, value):
+        point = analyze_point(model, param, value)
+        for kept in ks._SWEEP_REUSE.get()[1].values():
+            for x in kept if isinstance(kept, tuple) else (kept,):
+                held.append(weakref.ref(x))
+                kinds.add(type(x))
+        return point
+
+    monkeypatch.setattr(ks, "_analyze_point", watching)
+    monkeypatch.setattr(ks, "_assemble", lambda model, basis: assembled.append(model) or assemble(model, basis))
+    points = ks.sweep(ks.ChainModel(sites=4, jk=1.0), "idirect", [0.25, 0.5, 1.0, 1.5])
+    assert all(p.error is None for p in points)
+    assert len(assembled) == 4  # H_rest and H_p of two sectors serve all four points
+    assert kinds == {ks.SectorBasis, sparse.csr_matrix}
+    assert ks._SWEEP_REUSE.get() is None
+    gc.collect()
+    assert all(ref() is None for ref in held)
+    model = ks.ChainModel(sites=4)
+    assert ks.build_basis(model) is not ks.build_basis(model)
 
 
 def test_sweep_rejects_unknown_parameter():
@@ -1291,6 +1373,18 @@ def test_find_crossing_on_the_lanczos_path():
     below, above = (line.correlation(value + d) + 0.25 for d in (-tol, tol))
     assert below * above < 0.0
     assert abs(value - 1.6936836242675781) < tol  # the crossing found by plain bisection
+
+
+def test_crossings_and_correlations_are_python_floats():
+    # measures return floats, so no secant step hands a numpy scalar on to the result
+    for line, lo, hi in (
+        (ks.CouplingLine(ks.ChainModel(sites=4, jk=3.0), "idirect"), 0.0, 2.0),
+        (ks.CouplingLine(ks.ChainModel(sites=4), "jk"), 0.5, 6.0),
+    ):
+        assert type(ks.find_crossing(line, lo, hi, tol=1e-4)) is float
+    a = ks.ChainModel(sites=4, jk=1.0).analyze()
+    assert type(a.f_s) is float
+    assert type(measures.werner_residual(a.rho)) is float
 
 
 def test_find_crossing_non_monotone(monkeypatch):
