@@ -83,8 +83,25 @@ MAX_RESTARTS = 40
 #: DGKS re-pass threshold (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30,
 #: 772 (1976); ARPACK's dsaitr uses the same test): a Lanczos vector gets a
 #: second Gram-Schmidt pass only if the first left less than this share of
-#: its norm.
+#: the norm that subtracting its local terms (alpha, beta) alone would leave.
+#: The step reads that norm from its pass's coefficients c by Pythagoras:
+#: ||H v||^2 minus the squares of the local entries of c.  0 switches the
+#: re-pass off.
 DGKS_ETA = 1 / math.sqrt(2)
+
+#: Least share of ||H v|| that the Pythagorean norm is taken to be (1e-2).
+#: One pass leaves about eps ||H v|| of w along the block.  With the floor,
+#: a vector kept without a re-pass has beta >= DGKS_ETA * DGKS_FLOOR *
+#: ||H v||, so it leans on the block by at most eps / (DGKS_ETA * DGKS_FLOOR)
+#: = 3.1e-14, a factor of 30 below the 1e-12 the basis is held to, whatever
+#: the subtraction ||H v||^2 - |c_local|^2 reads.  That subtraction is mere
+#: round-off when the local terms take nearly all of ||H v||, as near an
+#: exhausted Krylov space (beta / ||H v|| falls to 1e-15 on the 24-state
+#: sector of L = 3); without the floor it can read below beta there and let
+#: the round-off pass unseen.  On L = 6 to 10 solves beta / ||H v|| stays
+#: above 0.5, far above DGKS_ETA * DGKS_FLOOR, so the floor adds no re-pass
+#: there.
+DGKS_FLOOR = 1e-2
 
 #: Two Ritz/eigen values closer than this are treated as a degenerate ground state.
 DEGENERACY_ATOL = 1e-9
@@ -586,14 +603,22 @@ def _thick_restart_lanczos(h, V):
     """Lowest eigenpair of ``h`` by thick-restart Lanczos from the unit vector V[0].
 
     The basis lives in the rows of V, and each cycle extends it to
-    ``len(V) - 1`` vectors.  A step subtracts its known local terms, then
-    runs one classical Gram-Schmidt pass over the whole basis, and a second
-    one only when the first left less than DGKS_ETA of the norm measured after
-    the local subtraction.  A cycle ends early once the residual estimate
-    |beta * y_last| of the lowest Ritz pair falls below the tolerance (never,
-    for a zero tolerance).  Convergence is accepted on the explicit residual
-    ||H psi - E psi|| <= RESIDUAL_RTOL * max(1, |E|) alone; otherwise the
-    cycle restarts from its KEEP_RITZ lowest Ritz vectors plus the residual
+    ``len(V) - 1`` vectors.  A step w = H V[j] makes one classical
+    Gram-Schmidt pass over the whole basis, c = V[:j+1] w and w -= c V[:j+1],
+    which removes the local terms with the rest, so alpha is c[j] and the
+    block is read twice.  A second pass follows only when the first left less
+    than DGKS_ETA of the norm the local terms alone would have left.  That
+    norm comes by Pythagoras from ||H V[j]||^2 minus the squares of the local
+    entries of c (alpha, and beta of the step before or a restart's arrow),
+    floored at DGKS_FLOOR of ||H V[j]||, where the difference is round-off.
+    A cycle ends early once the residual estimate |beta * y_last| of the
+    lowest Ritz pair falls below the tolerance (never, for a zero tolerance).
+    Only a cycle whose estimate is below it, or that exhausts the space or is
+    the last, forms the Ritz vector psi and its explicit residual
+    ||H psi - E psi||, so a solve makes one matvec more than it takes steps,
+    unless an estimate misleads.  Convergence is accepted on that explicit
+    residual, at most RESIDUAL_RTOL * max(1, |E|), alone; otherwise the cycle
+    restarts from its KEEP_RITZ lowest Ritz vectors plus the residual
     direction, so the projected matrix becomes diagonal plus an arrow row
     (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 602 (2000)).  Stops after
     MAX_RESTARTS cycles or when the Krylov space is exhausted (invariant).
@@ -612,28 +637,29 @@ def _thick_restart_lanczos(h, V):
         for j in range(k, m):
             w = h @ V[j]
             iterations += 1
-            alpha = T[j, j] = float(V[j] @ w)
-            w -= alpha * V[j]
-            if j == k and k > 0:
-                w -= T[:k, k] @ V[:k]
-            elif j > 0:
-                w -= T[j - 1, j] * V[j - 1]
-            before = float(np.linalg.norm(w))
-            w -= (V[: j + 1] @ w) @ V[: j + 1]
-            beta = float(np.linalg.norm(w))
-            if beta < DGKS_ETA * before:
+            norm0_sq = float(w @ w)
+            c = V[: j + 1] @ w
+            w -= c @ V[: j + 1]
+            alpha = T[j, j] = float(c[j])
+            # the local terms: alpha, and beta of the step before or, on a
+            # restart's first step, the arrow to the kept Ritz vectors
+            local = c[0 if j == k else j - 1 :]
+            before_sq = max(norm0_sq - float(local @ local), DGKS_FLOOR**2 * norm0_sq)
+            beta = math.sqrt(w @ w)
+            if beta < DGKS_ETA * math.sqrt(before_sq):
                 # the pass cancelled most of w, so what is left carries its
                 # round-off relative to the old norm: project once more
                 w -= (V[: j + 1] @ w) @ V[: j + 1]
-                beta = float(np.linalg.norm(w))
+                beta = math.sqrt(w @ w)
             if beta < 1e-13 * max(1.0, abs(alpha)):
                 exhausted = True
                 n = j + 1
                 break
-            V[j + 1] = w / beta
+            np.divide(w, beta, out=V[j + 1])
             if j + 1 < m:
                 T[j, j + 1] = T[j + 1, j] = beta
-            # every third step: the small eigh costs at most a seventh of a step at L=8
+            # every third step: at L=8 the small eigh (0.09 ms at 30 x 30)
+            # costs at most a fifth of a step (0.44 ms)
             if (j + 1) % 3 == 0:
                 theta, y = np.linalg.eigh(T[: j + 1, : j + 1])
                 if abs(beta * y[j, 0]) < RESIDUAL_RTOL * max(1.0, abs(theta[0])):
@@ -641,11 +667,14 @@ def _thick_restart_lanczos(h, V):
                     break
         del w  # before the restart's (KEEP_RITZ, dim) temporary
         theta, Y = np.linalg.eigh(T[:n, :n])
-        psi = Y[:, 0] @ V[:n]
-        psi /= np.linalg.norm(psi)
-        residual = float(np.linalg.norm(h @ psi - theta[0] * psi))
-        if exhausted or residual <= RESIDUAL_RTOL * max(1.0, abs(theta[0])) or cycle == MAX_RESTARTS - 1:
-            return theta, psi, iterations, n, residual
+        tol = RESIDUAL_RTOL * max(1.0, abs(theta[0]))
+        last = exhausted or cycle == MAX_RESTARTS - 1
+        if last or abs(beta * Y[n - 1, 0]) < tol:
+            psi = Y[:, 0] @ V[:n]
+            psi /= np.linalg.norm(psi)
+            residual = float(np.linalg.norm(h @ psi - theta[0] * psi))
+            if last or residual <= tol:
+                return theta, psi, iterations, n, residual
         # the lowest Ritz vectors and the residual direction V[n] span the next
         # cycle's start; H couples V[k] to each kept vector by beta * y_last
         k = min(KEEP_RITZ, n - 1)

@@ -460,6 +460,13 @@ def _orthonormality_error(V, n):
         (ks.ChainModel(sites=4, jk=0.5), None),
         (ks.ChainModel(sites=4, jk=2.0, idirect=-0.5, xa=0, xb=3), 1),
         (ks.ChainModel(sites=8, jk=0.5), None),
+        # sectors about KRYLOV_DIM = 30 states, where the Krylov space runs
+        # out within a block and beta / ||H v|| falls to round-off: 27, 28
+        # and 28 states below, 32 above (no sector of L <= 8 has 29 to 31)
+        (ks.ChainModel(sites=5, jk=0.9, nup=3, ndn=2), 2.5),
+        (ks.ChainModel(sites=3, jk=0.7, nup=2, ndn=1), None),
+        (ks.ChainModel(sites=3, jk=1.3, idirect=0.4, nup=2, ndn=1, xa=0, xb=2), -0.5),
+        (ks.ChainModel(sites=4, jk=0.6, idirect=-0.3, nup=3, ndn=2), 1.5),
     ],
 )
 def test_lanczos_block_basis_is_orthonormal(model, sz):
@@ -503,6 +510,25 @@ def test_lanczos_block_repasses_when_gram_schmidt_cancels(monkeypatch):
     monkeypatch.setattr(ks, "DGKS_ETA", 0.0)
     V, (_, _, _, rows, _) = _solve_in_block(op, v0)
     assert _orthonormality_error(V, rows) > 1e-9
+
+
+@pytest.mark.parametrize("sites", [6, 8])
+def test_lanczos_forms_one_ritz_vector_per_solve(sites):
+    # the Ritz vector and its explicit residual cost one matvec, made only on
+    # a cycle whose estimate says it converged: here the last
+    class Counting:
+        def __init__(self, h):
+            self.h, self.matvecs = h, 0
+
+        def __matmul__(self, x):
+            self.matvecs += 1
+            return self.h @ x
+
+    m = ks.ChainModel(sites=sites, jk=0.5)
+    op = Counting(ks.build_hamiltonian(m, ks.build_basis(m)))
+    v0 = np.random.default_rng(ks.LANCZOS_SEED).standard_normal(op.h.shape[0])
+    _, (_, _, iterations, _, _) = _solve_in_block(op, v0)
+    assert op.matvecs == iterations + 1
 
 
 @pytest.mark.parametrize("sites, iterations", [(6, 69), (8, 93)])
