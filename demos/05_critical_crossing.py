@@ -5,7 +5,7 @@ The pair entanglement vanishes exactly where the spin-spin correlation
 crosses -1/4.  On a finite chain that crossing is reached by tuning the
 Kondo coupling: weak coupling leaves the impurities locked in a mutual
 singlet (f_s near -3/4), strong coupling screens them individually
-(f_s near 0).  A safeguarded secant search pins the crossing; a
+(f_s near 0).  A safeguarded interpolation search pins the crossing; a
 brute-force scan confirms it.
 """
 
@@ -25,7 +25,7 @@ for point in kondo_sim.sweep(model, "jk", np.linspace(0.5, 3.0, 11)):
 line = kondo_sim.CouplingLine(model, "jk")
 crossing = kondo_sim.find_crossing(line, 1.0, 2.0, tol=1e-8)
 f_at = line.correlation(crossing)
-print(f"\nsecant search: f_s crosses -1/4 at j_k = {crossing:.8f} (f_s there: {f_at:+.9f})")
+print(f"\ncrossing search: f_s crosses -1/4 at j_k = {crossing:.8f} (f_s there: {f_at:+.9f})")
 
 step = 1e-3
 xs = np.arange(1.7, 1.95, step)

@@ -291,10 +291,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_critical(args: argparse.Namespace) -> int:
     model = _model_from_args(args)
-    # the search and the closing solve at its value share one assembly
     line = kondo_sim.CouplingLine(model, args.param)
     value = kondo_sim.find_crossing(line, args.min, args.max, target_fs=args.target_fs, tol=args.tol)
-    f_s = line.correlation(value)
+    f_s = line.correlation(value)  # the search solved value, so this solves nothing
     pairs: list[tuple[str, object]] = [
         ("param", args.param),
         ("value", value),

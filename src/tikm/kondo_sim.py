@@ -915,6 +915,7 @@ class CouplingLine:
         self.basis = build_basis(model)
         self._rest, self._unit = _coupling_pair(model, param, self.basis)
         self.points: list[tuple[float, float, float]] = []
+        self._correlations: dict[float, float] = {}
 
     def hamiltonian(self, value: float) -> sparse.csr_matrix:
         """H at ``param`` = ``value``; ``value`` is checked as ``ChainModel`` checks that coupling."""
@@ -927,10 +928,18 @@ class CouplingLine:
         return _reduce(self.basis, g)
 
     def correlation(self, value: float) -> float:
-        """f_s at ``value``, once ``Analysis.singlet`` has refused a ground vector that mixes spin multiplets."""
-        a = self.analyze(value)
-        a.singlet()
-        return a.f_s
+        """f_s at ``value``, once ``Analysis.singlet`` has refused a ground vector that mixes spin multiplets.
+
+        A value whose f_s this line has returned before is not solved again:
+        its point passed the bracket check and the S^2 check then, and H(value)
+        has not changed.
+        """
+        value = float(value)
+        if value not in self._correlations:
+            a = self.analyze(value)
+            a.singlet()
+            self._correlations[value] = a.f_s
+        return self._correlations[value]
 
     def _add_point(self, p: float, g: GroundStateResult) -> None:
         """Check (p, E, d) against its solved neighbours, then add it to ``points`` unless p is solved already."""
@@ -985,27 +994,42 @@ def find_crossing(
     between every point and its solved neighbours.  On both kinds of line f_s
     must differ between the ends (NonMonotoneError for a flat line) and the
     ends must straddle the target (NoBracketError otherwise).  The search then
-    narrows the pre-grid cell whose ends straddle the target with a
-    safeguarded secant method (Brent,
-    *Algorithms for Minimization without Derivatives*, 1973, ch. 4).  Each
-    step solves the secant estimate through the two most recently solved
-    points, kept at least tol/2 inside the bracket, so that once the
-    estimate is close the next point lands on the far side of the crossing
-    and closes the bracket.  It falls back to the bracket midpoint when the
-    estimate leaves the bracket or when the last two steps did not at least
-    halve the bracket, which keeps the worst case within a small multiple of
-    bisection's step count.  A solved point within 1e-12 of the target is
-    returned as is; otherwise the search stops once the bracket is narrower
-    than ``tol`` and returns its midpoint, which is within tol/2 of the
-    crossing because the bracket always contains it.  ``tol`` must be
-    finite, positive, reachable within MAX_BISECTIONS halvings and above
+    narrows the bracket, the pre-grid cell whose ends straddle the target,
+    with steps estimated from the points it has solved, safeguarded as in
+    Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 4:
+
+    * on an ``idirect`` line, the root of the slope of E's cubic Hermite
+      interpolant through the two points solved last (at the first step the
+      two ends), from the energies that ``line.points`` holds and
+      f_s = dE/dp there.  That slope is a quadratic model of f_s.  Between
+      two points that straddle the target it crosses it exactly once; past
+      them the root inside the bracket nearest the last point is taken.
+      Interpolating between the bracket ends instead would keep an end that
+      the steps never move, and the steps would creep along one side;
+    * on a ``jk`` line, where nothing ties f_s to E, inverse cubic
+      interpolation through the four solved points nearest the bracket.
+
+    An estimate is kept at least tol/2 inside the bracket, so that once it is
+    close the next point lands on the far side of the crossing and closes
+    the bracket to tol/2.  The search bisects instead when the estimate
+    leaves the bracket or when its step from the last point would be longer
+    than half the step before last (Brent's rule).  A step the rule accepts
+    is at least tol/2 long, so between two bisections at most about
+    2 log2(width / tol) steps run, against log2(width / tol) for bisection
+    alone; on smooth f_s the estimates converge long before that.  A solved
+    point within 1e-12 of the target is returned as is; otherwise the search
+    stops once the bracket is at most tol/2 wide and returns the end where
+    |f_s - target| is smaller.  That is a point ``line`` has solved, so
+    ``line.correlation`` gives its f_s without a solve, and it is within
+    tol/2 of the crossing, which the bracket always contains.  ``tol`` must
+    be finite, positive, reachable within MAX_BISECTIONS halvings and above
     twice the float spacing at the bracket ends; then every step lands
     strictly inside the bracket, so no value is solved twice.  A crossing
     must be continuous: if f_s changes across the final bracket by more than
     JUMP_FACTOR (100) times its secant slope between ``lo`` and ``hi`` times
     the bracket width, f_s jumps over the target there and NonMonotoneError
-    is raised.  ``lo``, ``hi`` and ``target_fs`` must be
-    finite.  Endpoint order does not matter.
+    is raised.  ``lo``, ``hi`` and ``target_fs`` must be finite.  Endpoint
+    order does not matter.
     """
     lo, hi = float(lo), float(hi)
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -1046,28 +1070,40 @@ def find_crossing(
             return x
     k = next(k for k in range(len(xs) - 1) if gs[k] * gs[k + 1] < 0.0)
     a, b, g_a, g_b = xs[k], xs[k + 1], gs[k], gs[k + 1]
-    x_old, g_old, x_new, g_new = a, g_a, b, g_b  # the two most recently solved points
-    width_before_last = width_last = math.inf
+    solved = list(zip(xs, gs))
+    half = 0.5 * tol
+    step_before_last = step_last = math.inf
     for _ in range(2 * MAX_BISECTIONS):
-        width = b - a
-        if width < tol:
+        if b - a <= half:
             break
+        last = solved[-1][0]
+        if line.param == "idirect":
+            estimate = _hermite_root(line, *solved[-2], *solved[-1], target_fs, a, b)
+        else:
+            estimate = _inverse_cubic_root(solved, a, b)
         x = 0.5 * (a + b)
-        if width <= 0.5 * width_before_last and g_new != g_old:
-            estimate = x_new - g_new * (x_new - x_old) / (g_new - g_old)
-            if a < estimate < b:
-                x = min(max(estimate, a + 0.5 * tol), b - 0.5 * tol)
-        width_before_last, width_last = width_last, width
+        if a < estimate < b:
+            # tol/2 from an end can round to a little more, and a step there would leave a bracket just
+            # wider than tol/2; where the clamps cross, b - tol/2 can even round onto a, solved already
+            low, high = a + half, b - half
+            if low - a > half:
+                low = math.nextafter(low, a)
+            if b - high > half:
+                high = math.nextafter(high, b)
+            estimate = min(max(estimate, low), high)
+            if abs(estimate - last) <= 0.5 * step_before_last:
+                x = estimate
+        step_before_last, step_last = step_last, abs(x - last)
         g_x = line.correlation(x) - target_fs
         if abs(g_x) < 1e-12:
             return x
-        x_old, g_old, x_new, g_new = x_new, g_new, x, g_x
+        solved.append((x, g_x))
         if (g_x > 0.0) == (g_a > 0.0):
             a, g_a = x, g_x
         else:
             b, g_b = x, g_x
-    if b - a >= tol:
-        raise ValueError(f"bracket [{a}, {b}] is still wider than tol {tol!r} after {2 * MAX_BISECTIONS} steps")
+    if b - a > half:
+        raise ValueError(f"bracket [{a}, {b}] is still wider than tol/2 {half!r} after {2 * MAX_BISECTIONS} steps")
     slope = abs(fs[-1] - fs[0]) / (hi - lo)
     if abs(g_b - g_a) > JUMP_FACTOR * slope * (b - a):
         raise NonMonotoneError(
@@ -1075,4 +1111,39 @@ def find_crossing(
             f"(from {g_a + target_fs:.6f} to {g_b + target_fs:.6f})",
             points=[(a, g_a + target_fs, b, g_b + target_fs)],
         )
-    return 0.5 * (a + b)
+    return a if abs(g_a) <= abs(g_b) else b
+
+
+def _hermite_root(line: CouplingLine, p0: float, g0: float, p1: float, g1: float, target_fs: float, a: float, b: float) -> float:
+    """Where the cubic Hermite interpolant of E through p0 and p1 has slope ``target_fs``: its root in (a, b) nearest p1.
+
+    ``g0`` and ``g1`` are f_s - target at p0 and p1, where f_s = dE/dp; the
+    energies come from ``line.points``.  With s = (p - p0) / (p1 - p0), the
+    interpolant's slope less the target is the quadratic
+    g0 (1 - s) + g1 s + c s (1 - s), and c = 6 m - 3 (g0 + g1) makes its mean
+    over [p0, p1] m, the mean slope (E1 - E0) / (p1 - p0) less the target.
+    Between two points that straddle the target it has exactly one root;
+    past them it can have none.  The roots are taken in the form that does
+    not cancel; NaN if none lies in (a, b).
+    """
+    energy = {p: e for p, e, _ in line.points}
+    span = p1 - p0
+    c = 6.0 * ((energy[p1] - energy[p0]) / span - target_fs) - 3.0 * (g0 + g1)
+    linear = g1 - g0 + c
+    discriminant = linear * linear + 4.0 * c * g0
+    if not discriminant >= 0.0:
+        return math.nan
+    q = -0.5 * (linear + math.copysign(math.sqrt(discriminant), linear))
+    roots = [p0 + s * span for s in (g0 / q if q else math.nan, -q / c if c else math.nan)]
+    return min((p for p in roots if a < p < b), key=lambda p: abs(p - p1), default=math.nan)
+
+
+def _inverse_cubic_root(solved: list[tuple[float, float]], a: float, b: float) -> float:
+    """p at g = 0 of the cubic in g through the four (p, g) of ``solved`` nearest [a, b]; NaN if two share a g."""
+    near = sorted(solved, key=lambda point: max(a - point[0], point[0] - b))[:4]
+    if len({g for _, g in near}) < len(near):
+        return math.nan
+    estimate = 0.0
+    for i, (p_i, g_i) in enumerate(near):
+        estimate += p_i * math.prod(g_j / (g_j - g_i) for j, (_, g_j) in enumerate(near) if j != i)
+    return estimate

@@ -22,9 +22,10 @@ def pauli_coefficients(rho: np.ndarray) -> np.ndarray:
     """Correlation matrix r[a, b] = Tr((sigma_a x sigma_b) rho).
 
     Index order is 0 = identity, then x, y, z.  For a Hermitian input every
-    coefficient is real; r[0, 0] equals the trace.
+    coefficient is real; r[0, 0] equals the trace.  A NaN or infinite entry
+    raises DomainError.
     """
-    rho = qmat.require_hermitian(rho, name="rho")
+    rho = qmat.require_hermitian(qmat.require_finite(rho, name="rho"), name="rho")
     if rho.shape != (4, 4):
         raise qmat.DimensionMismatchError(f"expected a 4x4 state, got {rho.shape}")
     vals = np.einsum("abij,ji->ab", _PAULI_KRON, rho)

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NegativeEigenvalueError, NotHermitianError
+from .errors import DimensionMismatchError, DomainError, NegativeEigenvalueError, NotHermitianError
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -52,6 +52,18 @@ def projector(vec: np.ndarray) -> np.ndarray:
     """|v><v| for a (not necessarily normalized) state vector."""
     v = np.asarray(vec, dtype=complex).ravel()
     return np.outer(v, v.conj())
+
+
+def require_finite(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """The input as an array, refused with DomainError if an entry is NaN or infinite.
+
+    The tolerance tests that follow read a NaN as passing, since every
+    comparison with it is False.
+    """
+    m = np.asarray(m)
+    if not np.isfinite(m).all():
+        raise DomainError(f"{name} has a non-finite entry")
+    return m
 
 
 def require_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -95,12 +107,13 @@ def hermitian_eig(m: np.ndarray, lowest: int | None = None) -> Spectrum:
 
 
 def check_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity of a density matrix.
+    """Validate finiteness, Hermiticity, unit trace and positivity of a density matrix.
 
-    Raises NotHermitianError, ValueError (trace) or NegativeEigenvalueError.
-    Returns the input as a complex array.
+    Raises DomainError (a NaN or infinite entry), NotHermitianError,
+    ValueError (trace) or NegativeEigenvalueError.  Returns the input as a
+    complex array.
     """
-    rho = require_hermitian(np.asarray(rho, dtype=complex), name=name)
+    rho = require_hermitian(require_finite(np.asarray(rho, dtype=complex), name=name), name=name)
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > TRACE_ATOL:
         raise ValueError(f"{name} has trace {tr}, expected 1 within {TRACE_ATOL:.1e}")
@@ -142,8 +155,8 @@ def clamp_spectrum(w: np.ndarray) -> np.ndarray:
 
 
 def vn_entropy(rho: np.ndarray) -> float:
-    """Von Neumann entropy -Tr(rho log2 rho) in bits, with 0*log(0) = 0."""
-    rho = require_hermitian(rho, name="rho")
+    """Von Neumann entropy -Tr(rho log2 rho) in bits, with 0*log(0) = 0; DomainError for a non-finite entry."""
+    rho = require_hermitian(require_finite(rho, name="rho"), name="rho")
     w = clamp_spectrum(np.linalg.eigvalsh(rho))
     nz = w[w > 0.0]
     return float(-(nz * np.log2(nz)).sum())

@@ -402,12 +402,12 @@ def test_critical_jump_exit(capsys):
 
 
 def test_critical_refuses_a_mixed_ground_vector(capsys):
-    # at jk = 0 the impurities are free, and at idirect = 0, within round-off
-    # of the fourth point the search solves on [-0.5, 1.5], singlet and
-    # triplet are degenerate; the Lanczos vector mixes them, and its f_s
-    # 0.2006 read as a jump (exit 7) before the S^2 check
+    # at jk = 0 the impurities are free, and at idirect = 0, the first end the
+    # search solves on [0, 1.5], singlet and triplet are degenerate; the
+    # Lanczos vector mixes them, and its f_s 0.2006 read as a jump (exit 7)
+    # before the S^2 check
     code, out, err = run(capsys, "critical", "--sites", "6", "--param", "idirect", "--jk", "0",
-                         "--min", "-0.5", "--max", "1.5", "--format", "json")
+                         "--min", "0", "--max", "1.5", "--format", "json")
     assert code == 5 and "mixes spin multiplets" in err and out == ""
 
 
@@ -421,7 +421,7 @@ def test_critical_free_impurities_jump_exit(capsys):
 
 
 def test_critical_exits_4_when_a_solve_misses_the_ground_state(capsys, excite_solve):
-    # the third solve, the search's first secant step, returns the first
+    # the third solve, the search's first step, returns the first
     # excited eigenpair; its energy breaks the Hellmann-Feynman bracket with
     # the solved ends
     excite_solve(3)
@@ -432,6 +432,25 @@ def test_critical_exits_4_when_a_solve_misses_the_ground_state(capsys, excite_so
     assert "break the Hellmann-Feynman bracket" in err
 
 
+@pytest.mark.parametrize(
+    "argv, solves",
+    [
+        (("--param", "jk", "--min", "0.5", "--max", "6"), 13),
+        (("--param", "idirect", "--jk", "2", "--min", "-0.5", "--max", "2"), 6),
+    ],
+    ids=["jk", "idirect"],
+)
+def test_critical_solve_counts_on_the_lanczos_path(capsys, monkeypatch, argv, solves):
+    # every solve is a Lanczos solve of the dim-1250 sector, and none is
+    # made again at the returned value
+    dims = []
+    ground_state = kondo_sim.ground_state
+    monkeypatch.setattr(kondo_sim, "ground_state", lambda h: dims.append(h.shape[0]) or ground_state(h))
+    code, out, err = run(capsys, "critical", "--sites", "6", *argv, "--tol", "1e-4", "--format", "json")
+    assert code == 0, err
+    assert dims == [1250] * solves
+
+
 def test_critical_assembles_once(capsys, monkeypatch):
     builds = []
     build = kondo_sim.build_hamiltonian
@@ -439,8 +458,8 @@ def test_critical_assembles_once(capsys, monkeypatch):
     code, _, err = run(capsys, "critical", "--sites", "4", "--param", "idirect", "--jk", "3",
                        "--min", "-0.2", "--max", "1.5", "--format", "json")
     assert code == 0, err
-    # the search and the closing solve share the line's two builds, H_rest
-    # and H_p, and no point builds its own
+    # every point of the search solves on the line's two builds, H_rest and
+    # H_p, and no point builds its own
     assert builds == [kondo_sim.ChainModel(sites=4, jk=3.0), kondo_sim.ChainModel(sites=4, hopping=0.0, idirect=1.0)]
 
 

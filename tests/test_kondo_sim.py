@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import weakref
+from bisect import insort
 from dataclasses import replace
 
 import numpy as np
@@ -960,13 +961,64 @@ def test_coupling_line_refuses_a_mixed_ground_vector(model):
     ids=["idirect", "jk"],
 )
 def test_find_crossing_refuses_a_solve_that_misses_the_ground_state(excite_solve, param, fixed, lo, hi, solve):
-    # the search's first secant step, after its two ends or its 9-point
-    # pre-grid, returns the first excited eigenpair of its sector (dim 104)
+    # the search's first step, after its two ends or its 9-point pre-grid,
+    # returns the first excited eigenpair of its sector (dim 104)
     excite_solve(solve)
     line = ks.CouplingLine(ks.ChainModel(sites=4, **fixed), param)
     with pytest.raises(NotConvergedError, match=f"the energies at {param} = .* and .* break the Hellmann-Feynman"):
         ks.find_crossing(line, lo, hi, tol=1e-4)
     assert len(line.points) == solve - 1  # the excited point is not recorded
+
+
+#: The two L = 4 searches of the excited-solve scan, with tol 1e-4: model,
+#: coupling, bracket, and the solves the search makes when none is forced.
+#: The idirect one raises NonMonotoneError: f_s jumps over the target there.
+_EXCITED_SCANS = {
+    "idirect": (ks.ChainModel(sites=4, jk=1.5), -0.5, 2.0, 11),
+    "jk": (ks.ChainModel(sites=4), 0.5, 6.0, 13),
+}
+
+
+def _search_outcome(model, param, lo, hi):
+    try:
+        return ks.find_crossing(ks.CouplingLine(model, param), lo, hi, tol=1e-4)
+    except TikmError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize(
+    "param, solve", [(param, n) for param, scan in _EXCITED_SCANS.items() for n in range(1, scan[-1] + 1)]
+)
+def test_find_crossing_with_one_excited_solve_raises_or_finds_the_same_value(excite_solve, param, solve):
+    # each solve in turn returns the first excited eigenpair.  On the idirect
+    # line the steps read the energies of the points they step from, so an
+    # excited point can also steer them.  The Hellmann-Feynman bracket misses
+    # such a point when its neighbours are far away (the 9th pre-grid point
+    # of the jk search passes unseen), but no index returns a value that is
+    # not the crossing.
+    model, lo, hi, solves = _EXCITED_SCANS[param]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = []
+        ground_state = ks.ground_state
+        mp.setattr(ks, "ground_state", lambda h: calls.append(h) or ground_state(h))
+        unforced = _search_outcome(model, param, lo, hi)
+    assert len(calls) == solves
+    excite_solve(solve)
+    forced = _search_outcome(model, param, lo, hi)
+    if isinstance(forced, float):
+        assert isinstance(unforced, float) and abs(forced - unforced) <= 1e-4 / 2
+    else:
+        assert issubclass(forced, TikmError)
+
+
+def test_coupling_line_correlation_solves_each_value_once(monkeypatch):
+    calls = []
+    ground_state = ks.ground_state
+    monkeypatch.setattr(ks, "ground_state", lambda h: calls.append(h) or ground_state(h))
+    line = ks.CouplingLine(ks.ChainModel(sites=4), "jk")
+    first = line.correlation(1.5)
+    assert line.correlation(1.5) == first
+    assert len(calls) == 1 and [p for p, _, _ in line.points] == [1.5]
 
 
 def test_coupling_line_records_each_value_once_in_order():
@@ -1277,11 +1329,27 @@ def _smooth_monotone(lo, width, sign, slope, steps):
     return f
 
 
-def _count_solves(monkeypatch, f):
+def _smooth_energy(lo, width, sign, slope, steps):
+    """An antiderivative E of ``_smooth_monotone``'s f, so that dE/dp = f exactly, as on an idirect line."""
+
+    def log_cosh(z):
+        return abs(z) + math.log1p(math.exp(-2.0 * abs(z))) - math.log(2.0)
+
+    def energy(x):
+        u = (x - lo) / width
+        return sign * width * (slope * u * u / 2 + sum(w / k * log_cosh(k * (u - c)) for w, k, c in steps))
+
+    return energy
+
+
+def _count_solves(monkeypatch, f, energy=None):
+    """Stand f in for ``CouplingLine.correlation``; with ``energy``, also record (p, E, f) in ``line.points``."""
     calls = []
 
     def counting(line, value):
         calls.append(value)
+        if energy is not None:
+            insort(line.points, (value, energy(value), f(value)))
         return f(value)
 
     monkeypatch.setattr(ks.CouplingLine, "correlation", counting)
@@ -1289,14 +1357,24 @@ def _count_solves(monkeypatch, f):
 
 
 def _secant_step_bound(lo, hi, tol):
-    """Most steps allowed after the pre-grid: 2 * ceil(log2(cell / tol)) + 2, ``cell`` its cell width."""
+    """Most steps allowed after the pre-grid: 2 * ceil(log2(cell / tol)) + 3, ``cell`` its cell width.
+
+    The steps that narrow the pre-grid cell below tol are allowed
+    2 * ceil(log2(cell / tol)) + 2, twice bisection's count plus two, on the
+    smooth f these tests draw.  The search stops at tol/2, and from a bracket
+    narrower than tol one more step always gets there: the two tol/2 clamps
+    cross, so an estimate lands tol/2 from one end and less than tol/2 from
+    the other, and a midpoint lands less than tol/2 from both.  That step
+    takes the place of the solve that ``critical`` made at the returned
+    value when the search stopped below tol and returned the midpoint.
+    """
     cell = (hi - lo) / 2**ks.PRE_GRID_LEVELS
-    return 2 * math.ceil(math.log2(cell / tol)) + 2
+    return 2 * math.ceil(math.log2(cell / tol)) + 3
 
 
 def test_find_crossing_solves_no_value_twice(monkeypatch):
-    # the secant steps start from the pre-grid cell that holds the crossing;
-    # on a smooth f_s two of them close the bracket around it
+    # the steps start from the pre-grid cell that holds the crossing; on a
+    # smooth f_s two of them close the bracket to tol/2 around it
     def f(value):
         return -0.25 + 0.5 * math.tanh(value - 1.37)
 
@@ -1304,6 +1382,19 @@ def test_find_crossing_solves_no_value_twice(monkeypatch):
     root = ks.find_crossing(ks.CouplingLine(ks.ChainModel(sites=2), "jk"), 1.0, 2.0, tol=1e-4)
     assert len(calls) == len(set(calls)) == 9 + 2
     assert abs(root - 1.37) < 1e-4 / 2
+    assert root in calls  # a point the search solved
+
+
+def test_find_crossing_closes_the_bracket_a_tol_half_above_its_lower_end(monkeypatch):
+    # the closing step lands tol/2 above the lower end, where a + tol/2
+    # rounds to a little more than tol/2 from a; one ulp down, the bracket
+    # closes at once instead of one solve later
+    f = _smooth_monotone(1.38, 1.0, 1.0, 0.78, [(0.48, 5.5, 0.51)])
+    target, tol = f(1.38) + 0.41 * (f(2.38) - f(1.38)), 1e-6
+    calls = _count_solves(monkeypatch, f)
+    root = ks.find_crossing(ks.CouplingLine(ks.ChainModel(sites=2), "jk"), 1.38, 2.38, target_fs=target, tol=tol)
+    assert (f(root - tol / 2) - target) * (f(root + tol / 2) - target) <= 0.0
+    assert len(calls) == len(set(calls)) == 9 + 4
 
 
 def test_find_crossing_rejects_non_finite_target(monkeypatch):
@@ -1328,22 +1419,21 @@ def _monotone_crossings(draw):
     lo = draw(st.floats(-5.0, 5.0))
     width = 10.0 ** draw(st.floats(-2.0, 1.0))
     unit = st.tuples(st.floats(0.05, 1.0), st.floats(0.1, 99.0), st.floats(0.0, 1.0))
-    f = _smooth_monotone(
-        lo,
-        width,
+    shape = (
         draw(st.sampled_from((-1.0, 1.0))),
         draw(st.floats(0.05, 1.0)),
         draw(st.lists(unit, min_size=1, max_size=3)),
     )
+    f = _smooth_monotone(lo, width, *shape)
     target = f(lo) + draw(st.floats(0.01, 0.99)) * (f(lo + width) - f(lo))
     tol = width * 10.0 ** draw(st.floats(-9.0, -1.0))
-    return f, lo, lo + width, target, tol
+    return f, lo, lo + width, target, tol, _smooth_energy(lo, width, *shape)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_monotone_crossings())
 def test_find_crossing_properties_on_smooth_monotone_f(case):
-    f, lo, hi, target, tol = case
+    f, lo, hi, target, tol, _ = case
     with pytest.MonkeyPatch.context() as mp:
         calls = _count_solves(mp, f)
         root = ks.find_crossing(ks.CouplingLine(ks.ChainModel(sites=2), "jk"), lo, hi, target_fs=target, tol=tol)
@@ -1356,26 +1446,41 @@ def test_find_crossing_properties_on_smooth_monotone_f(case):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_monotone_crossings())
 def test_idirect_search_starts_from_its_two_ends(case):
-    # no pre-grid: the two ends, then at most 2 * ceil(log2((hi - lo) / tol)) + 2 steps
-    f, lo, hi, target, tol = case
+    # no pre-grid: the two ends, then at most 2 * ceil(log2((hi - lo) / tol)) + 3
+    # steps, as in _secant_step_bound; the line records E with dE/dp = f, as
+    # a real idirect line does, so the steps are Hermite steps
+    f, lo, hi, target, tol, energy = case
     with pytest.MonkeyPatch.context() as mp:
-        calls = _count_solves(mp, f)
+        calls = _count_solves(mp, f, energy)
         root = ks.find_crossing(ks.CouplingLine(ks.ChainModel(sites=2), "idirect"), lo, hi, target_fs=target, tol=tol)
     assert calls[:2] == [lo, hi]
     assert (f(root - tol / 2) - target) * (f(root + tol / 2) - target) <= 0.0
     assert len(calls) == len(set(calls))
-    assert len(calls) <= 2 + 2 * math.ceil(math.log2((hi - lo) / tol)) + 2
+    assert len(calls) <= 2 + 2 * math.ceil(math.log2((hi - lo) / tol)) + 3
 
 
 def test_find_crossing_bisects_when_secant_stalls(monkeypatch):
-    # two steep steps in one cell: plain secant steps creep along one side
-    # and take 9 + 54 solves; the halving safeguard takes 9 + 9
+    # two steep steps in one cell, along which plain secant steps creep
+    # from one side (9 + 54 solves); inverse cubic steps take 9 + 10
     f = _smooth_monotone(0.0, 1.0, 1.0, 0.27, [(0.56, 32.5, 0.0286), (0.51, 94.4, 0.464)])
     target, tol = f(0.0) + 0.488 * (f(1.0) - f(0.0)), 1.7e-6
     calls = _count_solves(monkeypatch, f)
     root = ks.find_crossing(ks.CouplingLine(ks.ChainModel(sites=2), "jk"), 0.0, 1.0, target_fs=target, tol=tol)
     assert (f(root - tol / 2) - target) * (f(root + tol / 2) - target) <= 0.0
     assert len(calls) - 9 <= _secant_step_bound(0.0, 1.0, tol)
+
+
+def test_idirect_search_bisects_when_its_steps_stall(monkeypatch):
+    # the crossing sits at the foot of a steep step: Hermite steps alone
+    # creep along one side and take 2 + 30 solves; the halving rule takes
+    # 2 + 11, fewer than bisection alone
+    shape = (1.0, 0.16, [(0.65, 65.0, 0.81)])
+    f, energy = _smooth_monotone(0.0, 1.0, *shape), _smooth_energy(0.0, 1.0, *shape)
+    target, tol = f(0.0) + 0.95 * (f(1.0) - f(0.0)), 1e-5
+    calls = _count_solves(monkeypatch, f, energy)
+    root = ks.find_crossing(ks.CouplingLine(ks.ChainModel(sites=2), "idirect"), 0.0, 1.0, target_fs=target, tol=tol)
+    assert (f(root - tol / 2) - target) * (f(root + tol / 2) - target) <= 0.0
+    assert len(calls) <= 2 + math.ceil(math.log2(1.0 / (tol / 2)))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -1402,7 +1507,7 @@ def test_find_crossing_on_the_lanczos_path():
 
 
 def test_crossings_and_correlations_are_python_floats():
-    # measures return floats, so no secant step hands a numpy scalar on to the result
+    # measures return floats, so no step hands a numpy scalar on to the result
     for line, lo, hi in (
         (ks.CouplingLine(ks.ChainModel(sites=4, jk=3.0), "idirect"), 0.0, 2.0),
         (ks.CouplingLine(ks.ChainModel(sites=4), "jk"), 0.5, 6.0),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tikm import measures, qmat, werner
-from tikm.errors import NegativeEigenvalueError, NotHermitianError
+from tikm.errors import DomainError, NegativeEigenvalueError, NotHermitianError
 
 from oracles import random_density_matrix, random_pure_state, random_unitary
 
@@ -34,6 +34,33 @@ def test_pauli_coefficients_werner_diagonal():
 def test_pauli_coefficients_rejects_non_hermitian():
     with pytest.raises(NotHermitianError):
         measures.pauli_coefficients(np.triu(np.ones((4, 4))))
+
+
+_STATE_FUNCTIONS = {
+    "pauli_coefficients": measures.pauli_coefficients,
+    "spin_correlation": measures.spin_correlation,
+    "werner_residual": measures.werner_residual,
+    "concurrence_wootters": measures.concurrence_wootters,
+    "negativity_general": measures.negativity_general,
+    "vn_entropy": qmat.vn_entropy,
+    "check_density_matrix": qmat.check_density_matrix,
+}
+
+
+@pytest.mark.parametrize("name", list(_STATE_FUNCTIONS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("entries", [((0, 1), (1, 0)), ((2, 2),), ((0, 1),), "all"], ids=["pair", "diagonal", "one", "all"])
+def test_measures_refuse_a_non_finite_entry(name, bad, entries):
+    # a NaN defect passed the Hermiticity, trace and PSD tests, since every
+    # comparison with NaN is False: werner_residual read I/4 with a NaN pair
+    # as 0.0, a perfect Werner state
+    rho = np.eye(4, dtype=complex) / 4
+    if entries == "all":
+        rho[:] = bad
+    for entry in entries if entries != "all" else ():
+        rho[entry] = bad
+    with pytest.raises(DomainError, match="non-finite entry"):
+        _STATE_FUNCTIONS[name](rho)
 
 
 def test_pauli_reconstruction_roundtrip():
