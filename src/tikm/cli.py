@@ -10,7 +10,8 @@ Subcommands::
 
 Formats: ``pretty`` (6 significant digits, human), ``csv`` and ``json``
 (17 significant digits, bit-identical across reruns on one BLAS build and
-thread count; the thread count can move the last digits of ED results).
+thread count; the thread count can move the last digits of ``simulate``,
+not of ``critical``, whose search runs numpy's BLAS at one thread).
 Exit codes: 0 success, 2 usage or domain error, 3 I/O error, 4 eigensolver
 not converged, non-finite arithmetic in the solve, or a coupling line's
 energies that break the Hellmann-Feynman bracket, 5 degenerate ground

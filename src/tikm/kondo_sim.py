@@ -26,9 +26,13 @@ Encoding conventions (fixed so tests can be bit-exact):
 
 from __future__ import annotations
 
+import ctypes
+import importlib
 import math
 import numbers
+import os
 import sys
+import threading
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -48,6 +52,7 @@ from .errors import (
     NoBracketError,
     NonMonotoneError,
     NotConvergedError,
+    NotHermitianError,
     TikmError,
 )
 
@@ -170,6 +175,72 @@ def _reuse(scope: tuple[str, dict] | None) -> Iterator[None]:
         yield
     finally:
         _SWEEP_REUSE.reset(token)
+
+
+class _BlasPool:
+    """The thread pool of one bundled OpenBLAS, reached through ``ctypes`` from an extension module that links it.
+
+    ``one_thread`` runs a block with the pool at one thread and yields whether
+    it is.  The get/set symbols are looked up at its first use: ``ctypes``
+    opens the extension module, already loaded, and the lookup covers the
+    libraries it links, so a build that names them otherwise, or another
+    BLAS, leaves the pool as it is and yields False.  Entries nest and may
+    come from several threads: a count under a lock lets the first block in
+    save the pool's thread count and the last one out restore it.
+    """
+
+    def __init__(self, module: str, symbol: str) -> None:
+        self._module = module
+        self._symbol = symbol
+        self._lock = threading.Lock()
+        self._calls: tuple | None = None
+        self._depth = 0
+        self._saved = 0
+
+    def _lookup(self) -> tuple:
+        try:
+            lib = ctypes.CDLL(importlib.import_module(self._module).__file__)
+            get, set_ = (getattr(lib, self._symbol.format(verb)) for verb in ("get", "set"))
+        except (ImportError, OSError, AttributeError):
+            return ()
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+
+    @contextmanager
+    def one_thread(self) -> Iterator[bool]:
+        with self._lock:
+            if self._calls is None:
+                self._calls = self._lookup()
+            if self._calls:
+                if self._depth == 0:
+                    self._saved = self._calls[0]()
+                    self._calls[1](1)
+                self._depth += 1
+        pinned = bool(self._calls)
+        try:
+            yield pinned
+        finally:
+            if pinned:
+                with self._lock:
+                    self._depth -= 1
+                    if self._depth == 0:
+                        self._calls[1](self._saved)
+
+
+#: numpy's OpenBLAS, which the Lanczos path and the Hellmann-Feynman check
+#: use, and scipy's own copy, which the dense path's ``scipy.linalg.eigh`` uses.
+_NUMPY_BLAS = _BlasPool("numpy.linalg._umath_linalg", "scipy_openblas_{}_num_threads64_")
+_SCIPY_BLAS = _BlasPool("scipy.linalg._fblas", "scipy_openblas_{}_num_threads")
+
+
+def _start_point_workers() -> int:
+    """Threads besides the caller's that solve a crossing search's start points: the usable CPUs less one."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return cpus - 1
 
 
 @dataclass(frozen=True)
@@ -687,11 +758,15 @@ def _thick_restart_lanczos(h, V):
 
 @contextmanager
 def _strict_arithmetic(what: str) -> Iterator[None]:
-    """Run a block so that overflow, division by zero, a NaN or a LAPACK failure raises NotConvergedError."""
+    """Run a block so that overflow, division by zero, a NaN or a LAPACK failure raises NotConvergedError.
+
+    A NaN entry of a dense matrix makes no new NaN, so it shows as the
+    Hermiticity check's NotHermitianError instead, which is taken as one too.
+    """
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             yield
-    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (FloatingPointError, np.linalg.LinAlgError, NotHermitianError) as exc:
         raise NotConvergedError(f"{what} hit non-finite arithmetic ({exc})") from exc
 
 
@@ -712,9 +787,8 @@ def ground_state(h: sparse.csr_matrix) -> GroundStateResult:
     degeneracy; ``Analysis.singlet`` catches it from S^2 when the partner has
     another S.  Arithmetic that overflows, divides by zero or makes a NaN
     (entries near the float limit, which MAX_COUPLING keeps out of a model's
-    H) also raises NotConvergedError, and so
-    does a LAPACK failure, among them a NaN entry of H, for which the dense
-    driver finds no eigenvalue.
+    H) also raises NotConvergedError, and so does a LAPACK failure or, on
+    the dense path, a NaN entry of H, which fails the Hermiticity check.
     """
     dim = h.shape[0]
     if dim == 0:
@@ -723,7 +797,10 @@ def ground_state(h: sparse.csr_matrix) -> GroundStateResult:
     iterations = 0
     with _strict_arithmetic(f"{method.capitalize()} solve"):
         if method == "dense":
-            values, vectors = qmat.hermitian_eig(h.toarray(), lowest=2)
+            # at one thread scipy's pool stops spinning when eigh returns, so
+            # it holds no core that the next Lanczos solve's pool needs
+            with _SCIPY_BLAS.one_thread():
+                values, vectors = qmat.hermitian_eig(h.toarray(), lowest=2)
             psi = np.ascontiguousarray(vectors[:, 0])
             psi /= np.linalg.norm(psi)
             residual = float(np.linalg.norm(h @ psi - float(values[0]) * psi))
@@ -905,6 +982,13 @@ class CouplingLine:
     On an ``idirect`` line H_p = S_A . S_B, so d is f_s and the check tests
     the RDM's f_s against the energies; a vector that mixes a degenerate
     ground level passes it, and ``Analysis.singlet`` refuses it instead.
+
+    ``find_crossing`` may solve its start points ahead (``_solve_ahead``):
+    ground_state(H(p)) of each runs on the calling thread and on worker
+    threads at once, and ``analyze`` takes the stored ground state, or
+    raises the stored exception, of a point solved so.  Everything else a
+    point does, the bracket check, the RDM and the S^2 check, runs on the
+    calling thread in the order the points are analyzed.
     """
 
     def __init__(self, model: ChainModel, param: str) -> None:
@@ -916,6 +1000,7 @@ class CouplingLine:
         self._rest, self._unit = _coupling_pair(model, param, self.basis)
         self.points: list[tuple[float, float, float]] = []
         self._correlations: dict[float, float] = {}
+        self._ahead: dict[float, GroundStateResult | Exception] = {}
 
     def hamiltonian(self, value: float) -> sparse.csr_matrix:
         """H at ``param`` = ``value``; ``value`` is checked as ``ChainModel`` checks that coupling."""
@@ -923,9 +1008,52 @@ class CouplingLine:
 
     def analyze(self, value: float) -> Analysis:
         """``model_at(model, param, value).analyze()``, solved on H(value), once the point passes the bracket check."""
-        g = ground_state(self.hamiltonian(value))
-        self._add_point(float(value), g)
+        value = float(value)
+        g = self._solve(value)
+        self._add_point(value, g)
         return _reduce(self.basis, g)
+
+    def _solve(self, value: float) -> GroundStateResult:
+        """ground_state(H(value)), or what ``_solve_ahead`` stored for ``value``, which it then forgets."""
+        outcome = self._ahead.pop(value, None)
+        if outcome is None:
+            return ground_state(self.hamiltonian(value))
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    def _solve_ahead(self, values: list[float], workers: int) -> None:
+        """Solve ground_state(H(v)) for every v of ``values`` at once, and store each outcome for ``_solve``.
+
+        The calling thread takes a share alongside at most ``workers``
+        worker threads, one per further usable CPU: a thread more than the
+        usable CPUs gains nothing and costs its own malloc arena.  An
+        exception is stored for its value and raised when ``_solve`` takes
+        it.  The caller pins numpy's BLAS pool to one thread first, as two
+        threads that share a pool of two wait for each other.
+        """
+        todo = iter(values)
+        lock = threading.Lock()
+
+        def work() -> None:
+            while True:
+                with lock:
+                    value = next(todo, None)
+                if value is None:
+                    return
+                try:
+                    self._ahead[value] = ground_state(self.hamiltonian(value))
+                except Exception as exc:  # raised again in the search's order, by _solve
+                    self._ahead[value] = exc
+
+        threads = [threading.Thread(target=work) for _ in range(min(workers, len(values) - 1))]
+        for thread in threads:
+            thread.start()
+        try:
+            work()
+        finally:
+            for thread in threads:
+                thread.join()
 
     def correlation(self, value: float) -> float:
         """f_s at ``value``, once ``Analysis.singlet`` has refused a ground vector that mixes spin multiplets.
@@ -1030,6 +1158,20 @@ def find_crossing(
     the bracket width, f_s jumps over the target there and NonMonotoneError
     is raised.  ``lo``, ``hi`` and ``target_fs`` must be finite.  Endpoint
     order does not matter.
+
+    From its first solve to its return the search holds numpy's OpenBLAS
+    pool at one thread (``_BlasPool``), so every reduction it prints runs
+    in one order whatever the thread count; the pin is process-wide, and
+    other threads' numpy BLAS calls run at one thread meanwhile.  With the
+    pin in place the start points, the pre-grid or the two ends, are solved
+    at once (``CouplingLine._solve_ahead``), on the calling thread and up
+    to one worker per further usable CPU; only ground_state(H(p)) runs
+    there.  The checks above then run on the calling thread in grid order,
+    as they would after serial solves, so the first error in that order is
+    the one raised; a search that fails may have solved the other start
+    points too.  Where the pool cannot be pinned, or one CPU is usable, the
+    start points are solved one after another.  The steps are always
+    solved one at a time, each from the points before it.
     """
     lo, hi = float(lo), float(hi)
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -1048,6 +1190,19 @@ def find_crossing(
         raise ValueError(f"target_fs must be finite, got {target_fs!r}")
     # the bracket check the line runs makes f_s monotone in idirect, so its ends suffice
     xs = np.linspace(lo, hi, 2**PRE_GRID_LEVELS + 1 if line.param == "jk" else 2).tolist()
+    with _NUMPY_BLAS.one_thread() as pinned:
+        try:
+            workers = _start_point_workers()
+            if pinned and workers > 0:
+                line._solve_ahead(xs, workers)
+            return _search(line, xs, target_fs, tol)
+        finally:
+            line._ahead.clear()
+
+
+def _search(line: CouplingLine, xs: list[float], target_fs: float, tol: float) -> float:
+    """``find_crossing``'s search once its arguments are checked; ``xs`` are its start points, ``lo`` to ``hi``."""
+    lo, hi = xs[0], xs[-1]
     fs = [line.correlation(x) for x in xs]
     direction = np.sign(fs[-1] - fs[0])
     offending = [

@@ -67,13 +67,16 @@ def require_finite(m: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def require_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """The input as a square float (if real) or complex array, checked Hermitian within HERMITICITY_ATOL."""
+    """The input as a square float (if real) or complex array, checked Hermitian within HERMITICITY_ATOL.
+
+    A NaN entry makes the defect NaN, which fails the check too.
+    """
     m = np.asarray(m)
     m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"{name} must be square, got shape {m.shape}")
     defect = float(np.abs(m - m.conj().T).max())
-    if defect > HERMITICITY_ATOL:
+    if not defect <= HERMITICITY_ATOL:
         raise NotHermitianError(f"{name} deviates from Hermiticity by {defect:.3e} (atol {HERMITICITY_ATOL:.1e})")
     return m
 
@@ -89,9 +92,8 @@ def hermitian_eig(m: np.ndarray, lowest: int | None = None) -> Spectrum:
     LAPACK's ?syevr/?heevr driver (Dhillon, Parlett & Voemel, ACM TOMS 32,
     533 (2006)) through ``scipy.linalg.eigh``, which skips the rest of the
     spectrum.  ``scipy.linalg`` is imported only then, so a process that
-    never asks for a partial spectrum does not load it.  The driver finds
-    no eigenvalue of a matrix with a NaN entry; that raises
-    ``numpy.linalg.LinAlgError``, where the full path returns NaN values.
+    never asks for a partial spectrum does not load it.  A NaN entry fails
+    the Hermiticity check, so neither path returns a NaN eigenvalue.
     """
     m = require_hermitian(m)
     if lowest is None:

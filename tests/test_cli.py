@@ -451,6 +451,47 @@ def test_critical_solve_counts_on_the_lanczos_path(capsys, monkeypatch, argv, so
     assert dims == [1250] * solves
 
 
+_CRITICAL_L8 = {
+    "jk": ("--param", "jk", "--idirect", "0", "--min", "2", "--max", "3"),
+    "idirect": ("--param", "idirect", "--jk", "3", "--min", "0", "--max", "1"),
+}
+
+
+@pytest.mark.parametrize("argv", _CRITICAL_L8.values(), ids=_CRITICAL_L8.keys())
+def test_critical_prints_the_same_bytes_at_one_and_two_blas_threads(argv):
+    # the search holds numpy's BLAS pool at one thread, so no reduction it
+    # prints depends on the pool size the environment asks for; before, the
+    # jk value read 2.4487961558104119 at one thread and ...177 at two.  The
+    # variable sizes the pool when the interpreter starts, so each run is a
+    # fresh one
+    src = Path(__file__).resolve().parent.parent / "src"
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+        result = subprocess.run(
+            [sys.executable, "-m", "tikm.cli", "critical", "--sites", "8", *argv, "--tol", "1e-4", "--format", "json"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        outs.append(result.stdout)
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--param", "jk", "--min", "0.5", "--max", "6"), ("--param", "idirect", "--jk", "3", "--min", "0", "--max", "2")],
+    ids=["jk", "idirect"],
+)
+def test_critical_prints_the_same_bytes_with_its_start_points_solved_at_once_or_not(capsys, start_points, argv):
+    outs = []
+    for concurrent in (False, True):
+        with start_points(concurrent):
+            code, out, err = run(capsys, "critical", "--sites", "4", *argv, "--tol", "1e-4", "--format", "json")
+        assert code == 0, err
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 def test_critical_assembles_once(capsys, monkeypatch):
     builds = []
     build = kondo_sim.build_hamiltonian

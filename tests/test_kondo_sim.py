@@ -1,11 +1,14 @@
 import gc
 import itertools
 import math
+import os
+import subprocess
 import sys
 import threading
 import weakref
 from bisect import insort
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -679,8 +682,8 @@ def test_dense_residual_is_checked_at_the_same_exit(monkeypatch, solve_on):
 @pytest.mark.parametrize("where", [(3, 3), (3, 5)], ids=["diagonal", "off-diagonal"])
 def test_dense_solve_of_a_non_finite_entry_exits_not_converged(entry, where):
     # the dense driver runs without scipy's finite check, whose ValueError
-    # would exit 2; a NaN leaves it with no eigenvalue, an inf fails the
-    # Hermiticity check's subtraction under np.errstate
+    # would exit 2; a NaN fails the Hermiticity check, an inf that check's
+    # subtraction under np.errstate
     m = ks.ChainModel(sites=4, jk=0.5)
     h = ks.build_hamiltonian(m, ks.build_basis(m)).tolil()
     i, j = where
@@ -1009,6 +1012,119 @@ def test_find_crossing_with_one_excited_solve_raises_or_finds_the_same_value(exc
         assert isinstance(unforced, float) and abs(forced - unforced) <= 1e-4 / 2
     else:
         assert issubclass(forced, TikmError)
+
+
+@pytest.mark.parametrize(
+    "param, fixed, lo, hi, starts",
+    [("jk", {}, 0.5, 6.0, 9), ("idirect", {"jk": 3.0}, 0.0, 2.0, 2)],
+    ids=["jk", "idirect"],
+)
+def test_find_crossing_gives_the_same_search_with_its_start_points_solved_at_once(start_points, param, fixed, lo, hi, starts):
+    # only ground_state(H(p)) of the pre-grid or the two ends runs on the
+    # workers; the checks and the steps run on the calling thread in grid
+    # order, so the value and the solved points are the serial search's
+    searches = []
+    for concurrent in (False, True):
+        solves = []
+        hamiltonian = ks.CouplingLine.hamiltonian
+        with start_points(concurrent), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ks.CouplingLine, "hamiltonian",
+                       lambda line, v: solves.append((threading.get_ident(), v)) or hamiltonian(line, v))
+            line = ks.CouplingLine(ks.ChainModel(sites=4, **fixed), param)
+            value = ks.find_crossing(line, lo, hi, tol=1e-4)
+        searches.append((value, line.points, solves))
+    (serial_value, serial_points, serial), (value, points, concurrent) = searches
+    assert value == serial_value and points == serial_points
+    # one by one, every solve runs on the calling thread, the start points in grid order
+    assert {thread for thread, _ in serial} == {threading.get_ident()}
+    assert [v for _, v in serial[:starts]] == np.linspace(lo, hi, starts).tolist()
+    # at once, the start points are spread over threads, and the steps follow as before
+    assert sorted(v for _, v in concurrent[:starts]) == [v for _, v in serial[:starts]]
+    assert len({thread for thread, _ in concurrent[:starts]}) > 1
+    assert concurrent[starts:] == serial[starts:] and len(serial) > starts
+
+
+def test_find_crossing_raises_the_first_error_in_grid_order(start_points, excite_solve, monkeypatch):
+    # on [1, 2] the third pre-grid point gets the first excited pair, which
+    # breaks the Hellmann-Feynman bracket with the second, and the seventh
+    # has a NaN H, whose solve raises NotConvergedError; solved at once, the
+    # seventh fails too, on whichever thread, but the search reports the
+    # third, as the serial search does, which never reaches the seventh
+    hamiltonian = ks.CouplingLine.hamiltonian
+    solved = []
+    monkeypatch.setattr(ks.CouplingLine, "hamiltonian",
+                        lambda line, v: solved.append(v) or hamiltonian(line, v) * (math.nan if v == 1.75 else 1.0))
+    errors = []
+    for concurrent in (False, True):
+        solved.clear()
+        excite_solve(3)
+        line = ks.CouplingLine(ks.ChainModel(sites=4), "jk")
+        with start_points(concurrent), pytest.raises(NotConvergedError) as info:
+            ks.find_crossing(line, 1.0, 2.0, tol=1e-4)
+        errors.append((str(info.value), line.points))
+        assert (1.75 in solved) == concurrent
+    assert errors[0] == errors[1]
+    assert errors[0][0].startswith("the energies at jk = 1.125 and 1.25 break the Hellmann-Feynman bracket")
+    assert [p for p, _, _ in errors[0][1]] == [1.0, 1.125]
+
+
+#: Run in a fresh interpreter: the thread counts of numpy's and scipy's
+#: bundled OpenBLAS pools, set to 2 first, after a dense solve, during and
+#: after a crossing search that returns, and after two that raise.
+_POOL_PROBE = """
+import ctypes
+import numpy.linalg._umath_linalg
+import scipy.linalg._fblas
+from tikm import kondo_sim as ks
+from tikm.errors import TikmError
+
+pools = []
+for module, symbol in ((numpy.linalg._umath_linalg, "scipy_openblas_{}_num_threads64_"),
+                       (scipy.linalg._fblas, "scipy_openblas_{}_num_threads")):
+    lib = ctypes.CDLL(module.__file__)
+    get, set_ = (getattr(lib, symbol.format(verb)) for verb in ("get", "set"))
+    get.argtypes, get.restype, set_.argtypes, set_.restype = [], ctypes.c_int, [ctypes.c_int], None
+    set_(2)
+    pools.append(get)
+
+def counts():
+    return [get() for get in pools]
+
+print("start", counts())
+m = ks.ChainModel(sites=4, jk=0.5)
+ks.ground_state(ks.build_hamiltonian(m, ks.build_basis(m)))
+print("dense", counts())
+during = []
+correlation = ks.CouplingLine.correlation
+ks.CouplingLine.correlation = lambda line, value: during.append(pools[0]()) or correlation(line, value)
+ks.find_crossing(ks.CouplingLine(ks.ChainModel(sites=4), "jk"), 0.5, 6.0, tol=1e-4)
+print("during", sorted(set(during)))
+print("returned", counts())
+for model, param, lo, hi in ((ks.ChainModel(sites=4), "jk", 5.0, 6.0), (ks.ChainModel(sites=6), "idirect", 0.0, 1.5)):
+    try:
+        ks.find_crossing(ks.CouplingLine(model, param), lo, hi)
+    except TikmError as exc:
+        print("raised", type(exc).__name__, counts())
+"""
+
+
+def test_blas_pools_keep_their_thread_counts():
+    # a dense solve pins scipy's pool to one thread and a crossing search
+    # numpy's; each gives back the count it found, also when it raises
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    result = subprocess.run([sys.executable, "-c", _POOL_PROBE], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    start = lines[0].removeprefix("start ")
+    assert lines == [
+        f"start {start}",
+        f"dense {start}",
+        "during [1]",
+        f"returned {start}",
+        f"raised NoBracketError {start}",
+        f"raised DegenerateGroundError {start}",
+    ]
+    assert start == "[2, 2]"
 
 
 def test_coupling_line_correlation_solves_each_value_once(monkeypatch):

@@ -99,13 +99,26 @@ def test_lowest_eigenpairs_match_the_full_decomposition(case):
 def test_lowest_eigenpairs_refuse_a_nan_entry_and_a_bad_count():
     m = np.eye(4)
     m[1, 2] = m[2, 1] = np.nan
-    with pytest.raises(np.linalg.LinAlgError, match="found 0 of the 2 lowest"):
+    with pytest.raises(NotHermitianError, match="by nan"):
         qmat.hermitian_eig(m, lowest=2)
     with pytest.raises(TypeError):
         qmat.hermitian_eig(np.eye(4), lowest=2.5)
     for k in (0, -1):
         with pytest.raises(ValueError):
             qmat.hermitian_eig(np.eye(4), lowest=k)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("where", [(1, 2), (1, 1)], ids=["off-diagonal", "diagonal"])
+def test_hermitian_eig_refuses_a_nan_entry_on_the_full_path(dtype, where):
+    # a NaN defect compares False with the tolerance, and the full spectrum of
+    # I/4 with a NaN pair came back as [nan, nan, 0.25, 0.25]
+    m = np.eye(4, dtype=dtype) / 4
+    m[where] = m[where[::-1]] = np.nan
+    with pytest.raises(NotHermitianError, match="by nan"):
+        qmat.hermitian_eig(m)
+    with pytest.raises(NotHermitianError, match="by nan"):
+        qmat.require_hermitian(m)
 
 
 def test_hermitian_eig_keeps_real_input_real():
