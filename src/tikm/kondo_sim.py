@@ -85,6 +85,24 @@ KRYLOV_DIM = 30
 KEEP_RITZ = 6
 MAX_RESTARTS = 40
 
+#: Weight of the seeded vector in a warm start (1e-2): given a unit vector
+#: ``start``, the Lanczos path of ``ground_state`` begins at
+#: normalize(start + WARM_START_MIX * r), with r the unit vector a cold start
+#: takes.  A start that is the ground vector of a point across a level
+#: crossing can hold another S than the ground state sought, and so no weight
+#: on it at all; r then supplies about WARM_START_MIX / sqrt(dim) of it, which
+#: the Krylov steps grow.  On L = 6 idirect lines at jk 0.3 and 1.0 over
+#: [-1.5, 1.5], where the ground state changes S, every solve warm-started
+#: from a neighbour 0.1 or 0.3 away found the dense ground energy for every
+#: mix from 1 down to 1e-6, and at 1e-9 8 of the 232 solves landed on an
+#: excited level, 0.1 too high.  1e-2 keeps four decades above the least mix
+#: that held, and r's share shrinks only as 1 / sqrt(dim), by 13 from L = 6
+#: to L = 10.  A smaller mix gains little, as the steps go mostly into the
+#: tail down to the 1e-12 residual: four L = 8 searches (jk on [2, 3],
+#: idirect on [0, 1] at jk 3, and both shifted by 0.1) took 3159 iterations
+#: from cold starts, 2532 at this mix, 2346 at 1e-4 and 2214 at 1e-6.
+WARM_START_MIX = 1e-2
+
 #: DGKS re-pass threshold (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30,
 #: 772 (1976); ARPACK's dsaitr uses the same test): a Lanczos vector gets a
 #: second Gram-Schmidt pass only if the first left less than this share of
@@ -144,11 +162,14 @@ JUMP_FACTOR = 100.0
 #: d(p1) - s <= (E1 - E0) / (p1 - p0) <= d(p0) + s, where d = <psi|H_p|psi>
 #: and s = HF_ENERGY_ULPS * eps * max(1, |E0|, |E1|) / (p1 - p0) + HF_SLOPE_ATOL.
 #: The first term covers the rounding of the two energies, each a few ulps of
-#: max(1, |E|): on 4- to 6-point scans 1e-8 apart at L = 4, 5, 6, 8 and 10, on
-#: both kinds of line, the worst excess was 11.7 eps * max(1, |E0|, |E1|) /
-#: (p1 - p0) (at L = 10), so 128 leaves a factor of 10.  The second is the
-#: accuracy the tests state for f_s (dense against Lanczos, 1e-8): d is first
-#: order in the solve's error, the energies second order.
+#: max(1, |E|): on 6-point scans 1e-8 apart at L = 4, 5, 6, 8 and 10, from
+#: two points of each kind of line (jk 0.5 and 2; idirect -0.5 and 0.4 at
+#: jk 1), the worst excess was 13.8 eps * max(1, |E0|, |E1|) / (p1 - p0)
+#: with every point solved from the seeded start, and 13.1 with each warm-
+#: started from the point before it (both at L = 8), so 128 leaves a factor
+#: of 9.  The second is the accuracy the tests state for f_s (dense against
+#: Lanczos, 1e-8): d is first order in the solve's error, the energies second
+#: order.
 HF_ENERGY_ULPS = 128
 HF_SLOPE_ATOL = 1e-8
 
@@ -234,13 +255,12 @@ _NUMPY_BLAS = _BlasPool("numpy.linalg._umath_linalg", "scipy_openblas_{}_num_thr
 _SCIPY_BLAS = _BlasPool("scipy.linalg._fblas", "scipy_openblas_{}_num_threads")
 
 
-def _start_point_workers() -> int:
-    """Threads besides the caller's that solve a crossing search's start points: the usable CPUs less one."""
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
     try:
-        cpus = len(os.sched_getaffinity(0))
+        return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return cpus - 1
+        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -770,13 +790,17 @@ def _strict_arithmetic(what: str) -> Iterator[None]:
         raise NotConvergedError(f"{what} hit non-finite arithmetic ({exc})") from exc
 
 
-def ground_state(h: sparse.csr_matrix) -> GroundStateResult:
+def ground_state(h: sparse.csr_matrix, start: np.ndarray | None = None) -> GroundStateResult:
     """Lowest eigenpair of a sector Hamiltonian.
 
     The sector size alone picks the path: a dense eigensolve of only the two
     lowest eigenpairs (``qmat.hermitian_eig(..., lowest=2)``) at or below
-    DENSE_CUTOFF states, else thick-restart Lanczos from a fixed-seed start
-    vector in one block of KRYLOV_DIM + 1 vectors.  Both paths leave through
+    DENSE_CUTOFF states, else thick-restart Lanczos in one block of
+    KRYLOV_DIM + 1 vectors.  Lanczos starts from r, the unit vector of a
+    fixed-seed normal draw, or, given a unit vector ``start`` (the ground
+    vector of a nearby point, say), from normalize(start + WARM_START_MIX * r):
+    the share of r reaches a ground state that ``start`` holds none of, as
+    one of another S.  The dense path ignores ``start``.  Both paths leave through
     one exit: it raises NotConvergedError unless the energy E is finite and
     the explicit residual ||H psi - E psi|| is at most 1e-8 * max(1, |E|)
     (a NaN residual fails), and ``gap`` is the second eigenvalue (on the
@@ -808,6 +832,9 @@ def ground_state(h: sparse.csr_matrix) -> GroundStateResult:
             V = np.empty((min(KRYLOV_DIM, dim) + 1, dim))
             V[0] = np.random.default_rng(LANCZOS_SEED).standard_normal(dim)
             V[0] /= np.linalg.norm(V[0])
+            if start is not None:
+                V[0] = start + WARM_START_MIX * V[0]
+                V[0] /= np.linalg.norm(V[0])
             values, psi, iterations, _, residual = _thick_restart_lanczos(h, V)
     energy = float(values[0])
     if not (math.isfinite(energy) and residual <= 1e-8 * max(1.0, abs(energy))):
@@ -983,12 +1010,22 @@ class CouplingLine:
     the RDM's f_s against the energies; a vector that mixes a degenerate
     ground level passes it, and ``Analysis.singlet`` refuses it instead.
 
-    ``find_crossing`` may solve its start points ahead (``_solve_ahead``):
-    ground_state(H(p)) of each runs on the calling thread and on worker
-    threads at once, and ``analyze`` takes the stored ground state, or
-    raises the stored exception, of a point solved so.  Everything else a
-    point does, the bracket check, the RDM and the S^2 check, runs on the
-    calling thread in the order the points are analyzed.
+    A fresh line solves each point from ``ground_state``'s seeded start.
+    ``find_crossing`` warm-starts its solves from solved neighbours instead:
+
+    * it first solves its start points ahead in two fixed chains
+      (``_solve_ahead``), each point from the ground vector of the one
+      before it in its chain, and ``analyze`` takes the stored ground state,
+      or raises the stored exception, of a point solved so;
+    * while it runs, the line keeps the ground vector of each point it
+      analyzes, and the search drops all but the bracket ends before each
+      step (``_keep_starts``), so once the steps begin the line holds at
+      most three; a point not solved ahead starts from the kept vector
+      nearest to it, the lower one on a tie.
+
+    Everything a point does besides ground_state(H(p)), the bracket check,
+    the RDM and the S^2 check, runs on the calling thread in the order the
+    points are analyzed.
     """
 
     def __init__(self, model: ChainModel, param: str) -> None:
@@ -1001,6 +1038,8 @@ class CouplingLine:
         self.points: list[tuple[float, float, float]] = []
         self._correlations: dict[float, float] = {}
         self._ahead: dict[float, GroundStateResult | Exception] = {}
+        #: ground vectors kept as warm starts, by value; None when none are kept
+        self._starts: dict[float, np.ndarray] | None = None
 
     def hamiltonian(self, value: float) -> sparse.csr_matrix:
         """H at ``param`` = ``value``; ``value`` is checked as ``ChainModel`` checks that coupling."""
@@ -1011,49 +1050,65 @@ class CouplingLine:
         value = float(value)
         g = self._solve(value)
         self._add_point(value, g)
+        if self._starts is not None:
+            self._starts[value] = g.amplitudes
         return _reduce(self.basis, g)
 
     def _solve(self, value: float) -> GroundStateResult:
-        """ground_state(H(value)), or what ``_solve_ahead`` stored for ``value``, which it then forgets."""
+        """What ``_solve_ahead`` stored for ``value``, which it then forgets, or ground_state(H(value)) from the nearest kept start."""
         outcome = self._ahead.pop(value, None)
         if outcome is None:
-            return ground_state(self.hamiltonian(value))
+            start = None
+            if self._starts:
+                start = self._starts[min(self._starts, key=lambda p: (abs(p - value), p))]
+            return ground_state(self.hamiltonian(value), start)
         if isinstance(outcome, Exception):
             raise outcome
         return outcome
 
-    def _solve_ahead(self, values: list[float], workers: int) -> None:
-        """Solve ground_state(H(v)) for every v of ``values`` at once, and store each outcome for ``_solve``.
+    def _keep_starts(self, *values: float) -> None:
+        """Keep the ground vectors of ``values`` alone as the warm starts of the solves that follow."""
+        self._starts = {p: self._starts[p] for p in values if p in self._starts}
 
-        The calling thread takes a share alongside at most ``workers``
-        worker threads, one per further usable CPU: a thread more than the
-        usable CPUs gains nothing and costs its own malloc arena.  An
-        exception is stored for its value and raised when ``_solve`` takes
-        it.  The caller pins numpy's BLAS pool to one thread first, as two
-        threads that share a pool of two wait for each other.
+    def _solve_ahead(self, values: list[float], concurrent: bool) -> None:
+        """Solve ground_state(H(v)) for every v of ``values`` in two chains, and store each outcome for ``_solve``.
+
+        The chains run outward from the middle of ``values``: down from the
+        middle one to the first, and up from the next to the last.  The head
+        of each chain starts cold, and every other point from the ground
+        vector of the last point of its chain solved without error.  So each
+        start vector is fixed by ``values`` alone.  With ``concurrent`` a
+        worker thread runs the upper chain while the calling thread runs the
+        lower one; otherwise the calling thread runs both, one after the
+        other.  An exception is stored for its value and raised when
+        ``_solve`` takes it.  The caller pins numpy's BLAS pool to one
+        thread first, as two threads that share a pool of two wait for each
+        other.
         """
-        todo = iter(values)
-        lock = threading.Lock()
+        mid = (len(values) - 1) // 2
+        chains = (values[mid::-1], values[mid + 1 :])
 
-        def work() -> None:
-            while True:
-                with lock:
-                    value = next(todo, None)
-                if value is None:
-                    return
+        def run(chain: list[float]) -> None:
+            start = None
+            for value in chain:
                 try:
-                    self._ahead[value] = ground_state(self.hamiltonian(value))
+                    g = ground_state(self.hamiltonian(value), start)
                 except Exception as exc:  # raised again in the search's order, by _solve
                     self._ahead[value] = exc
+                else:
+                    self._ahead[value] = g
+                    start = g.amplitudes
 
-        threads = [threading.Thread(target=work) for _ in range(min(workers, len(values) - 1))]
-        for thread in threads:
-            thread.start()
+        if not concurrent:
+            for chain in chains:
+                run(chain)
+            return
+        worker = threading.Thread(target=run, args=(chains[1],))
+        worker.start()
         try:
-            work()
+            run(chains[0])
         finally:
-            for thread in threads:
-                thread.join()
+            worker.join()
 
     def correlation(self, value: float) -> float:
         """f_s at ``value``, once ``Analysis.singlet`` has refused a ground vector that mixes spin multiplets.
@@ -1159,19 +1214,29 @@ def find_crossing(
     is raised.  ``lo``, ``hi`` and ``target_fs`` must be finite.  Endpoint
     order does not matter.
 
+    Solves start warm, from solved neighbours (``ground_state``'s
+    ``start``).  The start points, the pre-grid or the two ends, are solved
+    first, in two fixed chains running outward from the middle of the
+    pre-grid, each point from the ground vector of the one before it in its
+    chain (``CouplingLine._solve_ahead``); the two ends of an ``idirect``
+    line are one chain each and start cold.  Each step starts from the
+    ground vector of the bracket end nearer to it, the lower end on a tie,
+    and the line keeps no other vector.  The checks above then run on the
+    calling thread in grid order, so the first error in that order is the
+    one raised; a search that fails has solved every start point.
+
     From its first solve to its return the search holds numpy's OpenBLAS
     pool at one thread (``_BlasPool``), so every reduction it prints runs
     in one order whatever the thread count; the pin is process-wide, and
     other threads' numpy BLAS calls run at one thread meanwhile.  With the
-    pin in place the start points, the pre-grid or the two ends, are solved
-    at once (``CouplingLine._solve_ahead``), on the calling thread and up
-    to one worker per further usable CPU; only ground_state(H(p)) runs
-    there.  The checks above then run on the calling thread in grid order,
-    as they would after serial solves, so the first error in that order is
-    the one raised; a search that fails may have solved the other start
-    points too.  Where the pool cannot be pinned, or one CPU is usable, the
-    start points are solved one after another.  The steps are always
-    solved one at a time, each from the points before it.
+    pin in place and a second usable CPU, a worker thread solves the upper
+    chain while the calling thread solves the lower one; only
+    ground_state(H(p)) runs there.  Where the pool cannot be pinned, or one
+    CPU is usable, the calling thread solves both chains, one after the
+    other.  Either way every solve starts from the same vector, so with the
+    pool pinned the printed bytes depend on neither the CPU count nor the
+    thread count.  The steps are solved one at a time, each from the points
+    before it.
     """
     lo, hi = float(lo), float(hi)
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -1191,13 +1256,13 @@ def find_crossing(
     # the bracket check the line runs makes f_s monotone in idirect, so its ends suffice
     xs = np.linspace(lo, hi, 2**PRE_GRID_LEVELS + 1 if line.param == "jk" else 2).tolist()
     with _NUMPY_BLAS.one_thread() as pinned:
+        line._starts = {}
         try:
-            workers = _start_point_workers()
-            if pinned and workers > 0:
-                line._solve_ahead(xs, workers)
+            line._solve_ahead(xs, concurrent=pinned and _usable_cpus() > 1)
             return _search(line, xs, target_fs, tol)
         finally:
             line._ahead.clear()
+            line._starts = None
 
 
 def _search(line: CouplingLine, xs: list[float], target_fs: float, tol: float) -> float:
@@ -1249,6 +1314,7 @@ def _search(line: CouplingLine, xs: list[float], target_fs: float, tol: float) -
             if abs(estimate - last) <= 0.5 * step_before_last:
                 x = estimate
         step_before_last, step_last = step_last, abs(x - last)
+        line._keep_starts(a, b)
         g_x = line.correlation(x) - target_fs
         if abs(g_x) < 1e-12:
             return x

@@ -3,6 +3,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from tikm import kondo_sim as ks
 
@@ -26,25 +27,34 @@ def solve_on():
     return solve
 
 
+#: How ``find_crossing`` solves the two chains of its start points, as
+#: ``start_points`` sets it up: on the calling thread and a worker, on the
+#: calling thread alone with numpy's BLAS pool pinned, or on the calling
+#: thread alone with the pool left as it is.
+START_POINT_MODES = ("two threads", "one thread", "unpinned")
+
+
 @pytest.fixture(scope="session")
 def start_points():
-    """``with start_points(concurrent):`` a block in which ``find_crossing`` solves its start points at once or not.
+    """``with start_points(mode):`` a block in which ``find_crossing`` solves its start points as ``mode`` says.
 
-    At once (True): on the calling thread and three workers whatever the CPU
-    count, with a 1 us switch interval, restored afterwards, so that the
-    threads interleave.  One by one (False): numpy's BLAS pool is looked up
-    under a symbol no build exports, so it reports that it cannot be
-    pinned, as on a BLAS without the symbol.
+    ``start_points.modes`` lists them (START_POINT_MODES).  "two threads":
+    the calling thread and a worker whatever the CPU count, with a 1 us
+    switch interval, restored afterwards, so that the threads interleave.
+    "one thread": one usable CPU, so the calling thread solves both chains,
+    with the pool pinned.  "unpinned": numpy's BLAS pool is looked up under
+    a symbol no build exports, so it reports that it cannot be pinned, as on
+    a BLAS without the symbol.
     """
 
     @contextmanager
-    def mode(concurrent):
+    def mode(name):
         with pytest.MonkeyPatch.context() as mp:
-            if not concurrent:
+            if name == "unpinned":
                 mp.setattr(ks, "_NUMPY_BLAS", ks._BlasPool("numpy.linalg._umath_linalg", "no_such_symbol_{}"))
                 yield
                 return
-            mp.setattr(ks, "_start_point_workers", lambda: 3)
+            mp.setattr(ks, "_usable_cpus", lambda: 2 if name == "two threads" else 1)
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
             try:
@@ -52,6 +62,7 @@ def start_points():
             finally:
                 sys.setswitchinterval(interval)
 
+    mode.modes = START_POINT_MODES
     return mode
 
 
@@ -60,11 +71,13 @@ def excite_solve(monkeypatch):
     """``excite_solve(n)``: the n-th point a ``CouplingLine`` analyzes from then on gets the first excited eigenpair.
 
     Points are counted as the line takes their ground states
-    (``CouplingLine._solve``), on the calling thread and in the order a
-    serial search solves them, so the n-th is the same point whether or not
-    ``find_crossing`` solved its start points at once.  The pair comes from
-    numpy's full dense spectrum, so keep to sectors small enough for one;
-    every other point solves as usual.
+    (``CouplingLine._solve``): on the calling thread, the start points in
+    grid order and then the steps, whichever thread solved the start points
+    ahead and in what order.  So the n-th is the same point in every mode of
+    ``start_points``, and while a search runs the line keeps the excited
+    vector as a warm start like any other.  The pair comes from a
+    dense eigensolve of the three lowest levels, so keep to sectors small
+    enough for one; every other point solves as usual.
     """
 
     def patch(n):
@@ -77,7 +90,7 @@ def excite_solve(monkeypatch):
             if count != n:
                 return solve(line, value)
             h = line.hamiltonian(value)
-            values, vectors = np.linalg.eigh(h.toarray())
+            values, vectors = scipy.linalg.eigh(h.toarray(), subset_by_index=[0, 2])
             psi = vectors[:, 1].copy()
             gap = float(values[2] - values[1])
             return ks.GroundStateResult(

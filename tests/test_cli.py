@@ -445,7 +445,7 @@ def test_critical_solve_counts_on_the_lanczos_path(capsys, monkeypatch, argv, so
     # made again at the returned value
     dims = []
     ground_state = kondo_sim.ground_state
-    monkeypatch.setattr(kondo_sim, "ground_state", lambda h: dims.append(h.shape[0]) or ground_state(h))
+    monkeypatch.setattr(kondo_sim, "ground_state", lambda h, start=None: dims.append(h.shape[0]) or ground_state(h, start))
     code, out, err = run(capsys, "critical", "--sites", "6", *argv, "--tol", "1e-4", "--format", "json")
     assert code == 0, err
     assert dims == [1250] * solves
@@ -478,18 +478,25 @@ def test_critical_prints_the_same_bytes_at_one_and_two_blas_threads(argv):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [("--param", "jk", "--min", "0.5", "--max", "6"), ("--param", "idirect", "--jk", "3", "--min", "0", "--max", "2")],
-    ids=["jk", "idirect"],
+    "sites, argv",
+    [
+        ("4", ("--param", "jk", "--min", "0.5", "--max", "6")),
+        ("4", ("--param", "idirect", "--jk", "3", "--min", "0", "--max", "2")),
+        ("6", ("--param", "jk", "--min", "0.5", "--max", "6")),
+        ("6", ("--param", "idirect", "--jk", "2", "--min", "-0.5", "--max", "2")),
+    ],
+    ids=["jk", "idirect", "jk-L6", "idirect-L6"],
 )
-def test_critical_prints_the_same_bytes_with_its_start_points_solved_at_once_or_not(capsys, start_points, argv):
+def test_critical_prints_the_same_bytes_with_its_start_points_solved_at_once_or_not(capsys, start_points, sites, argv):
+    # at L = 6 (dim 1250) every solve is a Lanczos solve, warm-started from
+    # its chain or its nearer bracket end, the same ones in every mode
     outs = []
-    for concurrent in (False, True):
-        with start_points(concurrent):
-            code, out, err = run(capsys, "critical", "--sites", "4", *argv, "--tol", "1e-4", "--format", "json")
+    for mode in start_points.modes:
+        with start_points(mode):
+            code, out, err = run(capsys, "critical", "--sites", sites, *argv, "--tol", "1e-4", "--format", "json")
         assert code == 0, err
         outs.append(out)
-    assert outs[0] == outs[1]
+    assert outs == [outs[0]] * len(outs)
 
 
 def test_critical_assembles_once(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import math
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -423,6 +425,34 @@ def test_sector_size_alone_picks_the_solver(dim, method):
     g = ks.ground_state(h)
     assert g.method == method
     assert abs(g.energy + 1.0) <= 1e-12 and g.gap >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("jk", [0.3, 1.0])
+def test_a_warm_start_across_a_spin_change_finds_the_ground_state(jk):
+    # along these L = 6 idirect lines (dim 1250, Lanczos) the ground state
+    # changes from a triplet to a singlet; a neighbour's ground vector of the
+    # other S holds none of the new ground state, which the solve then
+    # reaches only through the seeded share WARM_START_MIX of its start
+    line = ks.CouplingLine(ks.ChainModel(sites=6, jk=jk), "idirect")
+    grid = [k / 10 for k in range(-15, 16)]
+    hs = [line.hamiltonian(p) for p in grid]
+    # the dense solves first: right after Lanczos steps numpy's spinning BLAS
+    # pool would slow scipy's
+    lowest = [scipy.linalg.eigh(h.toarray(), subset_by_index=[0, 0], eigvals_only=True, driver="evx")[0] for h in hs]
+    vectors = [ks.ground_state(h).amplitudes for h in hs]
+    assert {round(ks.spin_squared(line.basis, psi)[0], 6) for psi in vectors} == {0.0, 2.0}
+    for k, h in enumerate(hs):
+        for j in (k - 3, k - 1, k + 1, k + 3):
+            if 0 <= j < len(grid):
+                g = ks.ground_state(h, vectors[j])
+                assert g.method == "lanczos" and abs(g.energy - lowest[k]) <= 1e-9, (grid[k], grid[j], g.energy, lowest[k])
+
+
+def test_the_dense_path_ignores_a_start_vector():
+    h = ks.CouplingLine(ks.ChainModel(sites=4, jk=1.0), "idirect").hamiltonian(0.5)
+    start = np.random.default_rng(1).standard_normal(h.shape[0])
+    cold, warm = ks.ground_state(h), ks.ground_state(h, start / np.linalg.norm(start))
+    assert warm.method == "dense" and warm.energy == cold.energy and np.array_equal(warm.amplitudes, cold.amplitudes)
 
 
 @pytest.mark.parametrize("sites", [5, 6, 7])
@@ -973,12 +1003,17 @@ def test_find_crossing_refuses_a_solve_that_misses_the_ground_state(excite_solve
     assert len(line.points) == solve - 1  # the excited point is not recorded
 
 
-#: The two L = 4 searches of the excited-solve scan, with tol 1e-4: model,
-#: coupling, bracket, and the solves the search makes when none is forced.
-#: The idirect one raises NonMonotoneError: f_s jumps over the target there.
+#: The searches of the excited-solve scan, with tol 1e-4: model, coupling,
+#: bracket, and the solves the search makes when none is forced.  At L = 4
+#: every solve is dense; the L = 6 ones (dim 1250) run Lanczos, warm-started
+#: from solved neighbours, so the excited point is also the start of the
+#: steps that follow from it.  The L = 4 idirect one raises NonMonotoneError:
+#: f_s jumps over the target there.
 _EXCITED_SCANS = {
-    "idirect": (ks.ChainModel(sites=4, jk=1.5), -0.5, 2.0, 11),
-    "jk": (ks.ChainModel(sites=4), 0.5, 6.0, 13),
+    "idirect": (ks.ChainModel(sites=4, jk=1.5), "idirect", -0.5, 2.0, 11),
+    "jk": (ks.ChainModel(sites=4), "jk", 0.5, 6.0, 13),
+    "idirect-L6": (ks.ChainModel(sites=6, jk=2.0), "idirect", -0.5, 2.0, 6),
+    "jk-L6": (ks.ChainModel(sites=6), "jk", 0.5, 6.0, 13),
 }
 
 
@@ -989,25 +1024,33 @@ def _search_outcome(model, param, lo, hi):
         return type(exc)
 
 
+@functools.cache
+def _unforced_search(scan):
+    """The outcome of an ``_EXCITED_SCANS`` search with no solve forced, and the number of its solves."""
+    model, param, lo, hi, _ = _EXCITED_SCANS[scan]
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        ground_state = ks.ground_state
+        mp.setattr(ks, "ground_state", lambda h, start=None: calls.append(h) or ground_state(h, start))
+        return _search_outcome(model, param, lo, hi), len(calls)
+
+
 @pytest.mark.parametrize(
-    "param, solve", [(param, n) for param, scan in _EXCITED_SCANS.items() for n in range(1, scan[-1] + 1)]
+    "param, solve", [(scan, n) for scan, (*_, solves) in _EXCITED_SCANS.items() for n in range(1, solves + 1)]
 )
 def test_find_crossing_with_one_excited_solve_raises_or_finds_the_same_value(excite_solve, param, solve):
     # each solve in turn returns the first excited eigenpair.  On the idirect
     # line the steps read the energies of the points they step from, so an
-    # excited point can also steer them.  The Hellmann-Feynman bracket misses
+    # excited point can also steer them, and on the L = 6 lines the steps
+    # near it start from its vector.  The Hellmann-Feynman bracket misses
     # such a point when its neighbours are far away (the 9th pre-grid point
-    # of the jk search passes unseen), but no index returns a value that is
-    # not the crossing.
-    model, lo, hi, solves = _EXCITED_SCANS[param]
-    with pytest.MonkeyPatch.context() as mp:
-        calls = []
-        ground_state = ks.ground_state
-        mp.setattr(ks, "ground_state", lambda h: calls.append(h) or ground_state(h))
-        unforced = _search_outcome(model, param, lo, hi)
-    assert len(calls) == solves
+    # of the L = 4 jk search passes unseen), but no index returns a value
+    # that is not the crossing.
+    model, line_param, lo, hi, solves = _EXCITED_SCANS[param]
+    unforced, calls = _unforced_search(param)
+    assert calls == solves
     excite_solve(solve)
-    forced = _search_outcome(model, param, lo, hi)
+    forced = _search_outcome(model, line_param, lo, hi)
     if isinstance(forced, float):
         assert isinstance(unforced, float) and abs(forced - unforced) <= 1e-4 / 2
     else:
@@ -1020,50 +1063,59 @@ def test_find_crossing_with_one_excited_solve_raises_or_finds_the_same_value(exc
     ids=["jk", "idirect"],
 )
 def test_find_crossing_gives_the_same_search_with_its_start_points_solved_at_once(start_points, param, fixed, lo, hi, starts):
-    # only ground_state(H(p)) of the pre-grid or the two ends runs on the
-    # workers; the checks and the steps run on the calling thread in grid
-    # order, so the value and the solved points are the serial search's
-    searches = []
-    for concurrent in (False, True):
+    # the start points are solved in two fixed chains, down from the middle
+    # of the pre-grid and up from the point after it; only ground_state(H(p))
+    # runs on the worker, and the checks and the steps run on the calling
+    # thread in grid order, so every mode gives the same value and points
+    searches = {}
+    for mode in start_points.modes:
         solves = []
         hamiltonian = ks.CouplingLine.hamiltonian
-        with start_points(concurrent), pytest.MonkeyPatch.context() as mp:
+        with start_points(mode), pytest.MonkeyPatch.context() as mp:
             mp.setattr(ks.CouplingLine, "hamiltonian",
                        lambda line, v: solves.append((threading.get_ident(), v)) or hamiltonian(line, v))
             line = ks.CouplingLine(ks.ChainModel(sites=4, **fixed), param)
             value = ks.find_crossing(line, lo, hi, tol=1e-4)
-        searches.append((value, line.points, solves))
-    (serial_value, serial_points, serial), (value, points, concurrent) = searches
-    assert value == serial_value and points == serial_points
-    # one by one, every solve runs on the calling thread, the start points in grid order
-    assert {thread for thread, _ in serial} == {threading.get_ident()}
-    assert [v for _, v in serial[:starts]] == np.linspace(lo, hi, starts).tolist()
-    # at once, the start points are spread over threads, and the steps follow as before
-    assert sorted(v for _, v in concurrent[:starts]) == [v for _, v in serial[:starts]]
-    assert len({thread for thread, _ in concurrent[:starts]}) > 1
-    assert concurrent[starts:] == serial[starts:] and len(serial) > starts
+        searches[mode] = (value, line.points, solves)
+    xs = np.linspace(lo, hi, starts).tolist()
+    lower, upper = xs[(starts - 1) // 2 :: -1], xs[(starts + 1) // 2 :]
+    caller = threading.get_ident()
+    serial_value, serial_points, serial = searches["unpinned"]
+    assert len(serial) > starts and {thread for thread, _ in serial[starts:]} == {caller}
+    for mode, (value, points, solves) in searches.items():
+        assert value == serial_value and points == serial_points
+        # the steps follow on the calling thread, each from the points before it
+        assert solves[starts:] == serial[starts:]
+        if mode == "two threads":
+            # the calling thread runs the lower chain and one worker the upper, each in chain order
+            assert [v for thread, v in solves[:starts] if thread == caller] == lower
+            assert len({thread for thread, _ in solves[:starts] if thread != caller}) == 1
+            assert [v for thread, v in solves[:starts] if thread != caller] == upper
+        else:
+            # on one thread, or with the pool left as it is, the calling thread runs the lower chain, then the upper
+            assert solves[:starts] == [(caller, v) for v in lower + upper]
 
 
 def test_find_crossing_raises_the_first_error_in_grid_order(start_points, excite_solve, monkeypatch):
     # on [1, 2] the third pre-grid point gets the first excited pair, which
     # breaks the Hellmann-Feynman bracket with the second, and the seventh
-    # has a NaN H, whose solve raises NotConvergedError; solved at once, the
-    # seventh fails too, on whichever thread, but the search reports the
-    # third, as the serial search does, which never reaches the seventh
+    # has a NaN H, whose solve raises NotConvergedError; every mode solves
+    # the seventh with the other start points, on whichever thread, but the
+    # search reports the third, which comes first in grid order
     hamiltonian = ks.CouplingLine.hamiltonian
     solved = []
     monkeypatch.setattr(ks.CouplingLine, "hamiltonian",
                         lambda line, v: solved.append(v) or hamiltonian(line, v) * (math.nan if v == 1.75 else 1.0))
     errors = []
-    for concurrent in (False, True):
+    for mode in start_points.modes:
         solved.clear()
         excite_solve(3)
         line = ks.CouplingLine(ks.ChainModel(sites=4), "jk")
-        with start_points(concurrent), pytest.raises(NotConvergedError) as info:
+        with start_points(mode), pytest.raises(NotConvergedError) as info:
             ks.find_crossing(line, 1.0, 2.0, tol=1e-4)
         errors.append((str(info.value), line.points))
-        assert (1.75 in solved) == concurrent
-    assert errors[0] == errors[1]
+        assert 1.75 in solved
+    assert errors == [errors[0]] * len(errors)
     assert errors[0][0].startswith("the energies at jk = 1.125 and 1.25 break the Hellmann-Feynman bracket")
     assert [p for p, _, _ in errors[0][1]] == [1.0, 1.125]
 
@@ -1130,7 +1182,7 @@ def test_blas_pools_keep_their_thread_counts():
 def test_coupling_line_correlation_solves_each_value_once(monkeypatch):
     calls = []
     ground_state = ks.ground_state
-    monkeypatch.setattr(ks, "ground_state", lambda h: calls.append(h) or ground_state(h))
+    monkeypatch.setattr(ks, "ground_state", lambda h, start=None: calls.append(h) or ground_state(h, start))
     line = ks.CouplingLine(ks.ChainModel(sites=4), "jk")
     first = line.correlation(1.5)
     assert line.correlation(1.5) == first
