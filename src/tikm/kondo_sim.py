@@ -31,7 +31,6 @@ import importlib
 import math
 import numbers
 import os
-import sys
 import threading
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
@@ -48,6 +47,7 @@ import scipy.sparse as sparse
 from . import measures, qmat, werner
 from .errors import (
     DegenerateGroundError,
+    DomainError,
     EmptySectorError,
     NoBracketError,
     NonMonotoneError,
@@ -69,6 +69,15 @@ MAX_SITES = 10
 #: largest double, 1.8e308, for every c below 3.3e152; 1e150 leaves a factor
 #: of 1000 in that square for the other sums of squares.
 MAX_COUPLING = 1e150
+
+#: Least nonzero |hopping|, |jk| or |idirect| a model takes (4 x 2.2e-308).
+#: Every entry of a coupling's H_p is a power of two of at least 1/4 in size,
+#: so p * H_p rounds nothing from here on, and H_rest + p * H_p gives the
+#: direct build of H (see ``CouplingLine``).  Below it the sum can round:
+#: at jk = 2 * 5e-324 a diagonal entry with two Kondo terms of jk / 4 is 0
+#: built directly and 5e-324 in the sum.  No printed number tells such a
+#: coupling from 0: it moves E by at most |p| ||H_p||.
+MIN_COUPLING = 4 * np.finfo(float).tiny
 
 #: Sector dimension at and below which the dense eigensolver is used; larger
 #: sectors run thick-restart Lanczos.
@@ -172,13 +181,6 @@ JUMP_FACTOR = 100.0
 #: order.
 HF_ENERGY_ULPS = 128
 HF_SLOPE_ATOL = 1e-8
-
-#: Least |p| > 0 at which H_rest + p * H_p gives the direct build of H: every
-#: entry of H_p is a power of two of at least 1/4 in size, so from here on
-#: p * H_p rounds nothing.  Below it the sum can round where the builder does
-#: not: at jk = 2 * 5e-324, a diagonal entry that sums two Kondo terms of
-#: jk / 4 each is 0 built directly and 5e-324 in the sum.
-EXACT_SCALE_MIN = 4 * sys.float_info.min
 
 #: While ``sweep`` runs: its parameter and a dict of what its points build
 #: alike, each sector basis by (sites, nelec, sz2) and, on ``jk`` and
@@ -300,6 +302,8 @@ class ChainModel:
                 raise ValueError(f"{name} must be finite, got {value!r}")
             if abs(value) > MAX_COUPLING:
                 raise ValueError(f"{name} must be at most {MAX_COUPLING:g} in size, got {value!r}")
+            if 0.0 < abs(value) < MIN_COUPLING:
+                raise ValueError(f"{name} must be 0 or at least {MIN_COUPLING:g} in size, got {value!r}")
         if self.hopping < 0.0:
             raise ValueError(f"hopping must be >= 0, got {self.hopping!r}")
         if self.jk < 0.0:
@@ -531,7 +535,8 @@ def build_hamiltonian(model: ChainModel, basis: SectorBasis) -> sparse.csr_matri
         # tracer sees them, so they are built with the scope unset
         with _reuse(None):
             shared[key] = _coupling_pair(model, param, basis)
-    return _pair_sum(shared[key], model, param, basis)
+    rest, unit = shared[key]
+    return rest + getattr(model, param) * unit
 
 
 def _assemble(model: ChainModel, basis: SectorBasis) -> sparse.csr_matrix:
@@ -556,9 +561,7 @@ def _assemble(model: ChainModel, basis: SectorBasis) -> sparse.csr_matrix:
     vals.append(diag[src])
 
     coo = sparse.coo_matrix((_joined(vals), (_joined(rows), _joined(cols))), shape=(basis.dim, basis.dim))
-    h = coo.tocsr()
-    h.eliminate_zeros()  # an exchange term can underflow to 0, as 0.5 * 5e-324 does
-    return h
+    return coo.tocsr()
 
 
 def _coupling_pair(model: ChainModel, param: str, basis: SectorBasis) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
@@ -571,15 +574,6 @@ def _coupling_pair(model: ChainModel, param: str, basis: SectorBasis) -> tuple[s
     rest = build_hamiltonian(replace(model, **{param: 0.0}), basis)
     unit = build_hamiltonian(replace(model, **{"hopping": 0.0, "jk": 0.0, "idirect": 0.0, param: 1.0}), basis)
     return rest, unit
-
-
-def _pair_sum(pair: tuple[sparse.csr_matrix, sparse.csr_matrix], model: ChainModel, param: str, basis: SectorBasis) -> sparse.csr_matrix:
-    """``model``'s H from its ``_coupling_pair``: H_rest + p * H_p, or the direct build where that sum could round."""
-    p = getattr(model, param)
-    if 0.0 < abs(p) < EXACT_SCALE_MIN:
-        return _assemble(model, basis)
-    rest, unit = pair
-    return rest + p * unit
 
 
 def _joined(parts: list[np.ndarray]) -> np.ndarray:
@@ -780,13 +774,14 @@ def _thick_restart_lanczos(h, V):
 def _strict_arithmetic(what: str) -> Iterator[None]:
     """Run a block so that overflow, division by zero, a NaN or a LAPACK failure raises NotConvergedError.
 
-    A NaN entry of a dense matrix makes no new NaN, so it shows as the
-    Hermiticity check's NotHermitianError instead, which is taken as one too.
+    A NaN or infinite entry of a dense matrix makes no new NaN, so it shows as
+    the DomainError of ``qmat.require_finite`` instead, which is taken as one
+    too, as is a Hermiticity check's NotHermitianError.
     """
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             yield
-    except (FloatingPointError, np.linalg.LinAlgError, NotHermitianError) as exc:
+    except (FloatingPointError, np.linalg.LinAlgError, DomainError, NotHermitianError) as exc:
         raise NotConvergedError(f"{what} hit non-finite arithmetic ({exc})") from exc
 
 
@@ -812,7 +807,7 @@ def ground_state(h: sparse.csr_matrix, start: np.ndarray | None = None) -> Groun
     another S.  Arithmetic that overflows, divides by zero or makes a NaN
     (entries near the float limit, which MAX_COUPLING keeps out of a model's
     H) also raises NotConvergedError, and so does a LAPACK failure or, on
-    the dense path, a NaN entry of H, which fails the Hermiticity check.
+    the dense path, a NaN or infinite entry of H, which ``qmat`` refuses.
     """
     dim = h.shape[0]
     if dim == 0:
@@ -991,12 +986,12 @@ class CouplingLine:
     each from ``build_hamiltonian``: H_rest, the model at p = 0, and H_p,
     that coupling alone at p = 1; a ``sweep`` row sums the same pair.  A
     point is their sum, which gives build_hamiltonian(model_at(model, param,
-    p)) array for array: every entry of H_p is a power of two, so p * H_p
-    rounds nothing, a diagonal entry adds one H_rest value to it as the
-    builder does, and scipy's sum drops the results that are exactly zero, as
-    the builder never stores them.  A nonzero |p| below EXACT_SCALE_MIN, where
-    p * H_p could round, is built directly instead (``_pair_sum``).  The basis, with
-    the RDM index and the S^2 ladder it caches, serves every point.
+    p)) array for array: every entry of H_p is a power of two and p is 0 or
+    at least MIN_COUPLING in size, so p * H_p rounds nothing, a diagonal
+    entry adds one H_rest value to it as the builder does, and scipy's sum
+    drops the results that are exactly zero, as the builder never stores
+    them.  The basis, with the RDM index and the S^2 ladder it caches, serves
+    every point.
 
     ``points`` holds each value the line has solved as (p, E, d), sorted by
     p, with E the ground energy and d = <psi|H_p|psi>, one matvec with H_p.
@@ -1043,7 +1038,7 @@ class CouplingLine:
 
     def hamiltonian(self, value: float) -> sparse.csr_matrix:
         """H at ``param`` = ``value``; ``value`` is checked as ``ChainModel`` checks that coupling."""
-        return _pair_sum((self._rest, self._unit), model_at(self.model, self.param, value), self.param, self.basis)
+        return self._rest + getattr(model_at(self.model, self.param, value), self.param) * self._unit
 
     def analyze(self, value: float) -> Analysis:
         """``model_at(model, param, value).analyze()``, solved on H(value), once the point passes the bracket check."""

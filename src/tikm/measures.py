@@ -25,7 +25,7 @@ def pauli_coefficients(rho: np.ndarray) -> np.ndarray:
     coefficient is real; r[0, 0] equals the trace.  A NaN or infinite entry
     raises DomainError.
     """
-    rho = qmat.require_hermitian(qmat.require_finite(rho, name="rho"), name="rho")
+    rho = qmat.require_hermitian(rho, name="rho")
     if rho.shape != (4, 4):
         raise qmat.DimensionMismatchError(f"expected a 4x4 state, got {rho.shape}")
     vals = np.einsum("abij,ji->ab", _PAULI_KRON, rho)

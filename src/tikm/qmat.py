@@ -67,44 +67,34 @@ def require_finite(m: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def require_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """The input as a square float (if real) or complex array, checked Hermitian within HERMITICITY_ATOL.
-
-    A NaN entry makes the defect NaN, which fails the check too.
-    """
-    m = np.asarray(m)
+    """The input as a square float (if real) or complex array, checked finite (``require_finite``) and Hermitian within HERMITICITY_ATOL."""
+    m = require_finite(m, name=name)
     m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"{name} must be square, got shape {m.shape}")
     defect = float(np.abs(m - m.conj().T).max())
-    if not defect <= HERMITICITY_ATOL:
+    if defect > HERMITICITY_ATOL:
         raise NotHermitianError(f"{name} deviates from Hermiticity by {defect:.3e} (atol {HERMITICITY_ATOL:.1e})")
     return m
 
 
-def hermitian_eig(m: np.ndarray, lowest: int | None = None) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix.
+def hermitian_eig(m: np.ndarray, lowest: int) -> Spectrum:
+    """The min(``lowest``, n) lowest eigenpairs of a Hermitian matrix.
 
     Returns eigenvalues in ascending order and orthonormal eigenvector
-    columns satisfying m = V diag(w) V+ to working precision.  A real
-    symmetric input is solved in real arithmetic and gives real vectors.
-
-    With ``lowest=k`` only the min(k, n) lowest eigenpairs come back, from
-    LAPACK's ?syevr/?heevr driver (Dhillon, Parlett & Voemel, ACM TOMS 32,
-    533 (2006)) through ``scipy.linalg.eigh``, which skips the rest of the
-    spectrum.  ``scipy.linalg`` is imported only then, so a process that
-    never asks for a partial spectrum does not load it.  A NaN entry fails
-    the Hermiticity check, so neither path returns a NaN eigenvalue.
+    columns, from LAPACK's ?syevr/?heevr driver (Dhillon, Parlett & Voemel,
+    ACM TOMS 32, 533 (2006)) through ``scipy.linalg.eigh``, which skips the
+    rest of the spectrum.  A real symmetric input is solved in real
+    arithmetic and gives real vectors.  ``scipy.linalg`` is imported only
+    here, so a process that never solves does not load it.
     """
     m = require_hermitian(m)
-    if lowest is None:
-        w, v = np.linalg.eigh(m)
-    else:
-        from scipy.linalg import eigh
+    from scipy.linalg import eigh
 
-        k = min(index(lowest), len(m))
-        w, v = eigh(m, subset_by_index=[0, k - 1], check_finite=False)
-        if len(w) < k:
-            raise np.linalg.LinAlgError(f"found {len(w)} of the {k} lowest eigenpairs")
+    k = min(index(lowest), len(m))
+    w, v = eigh(m, subset_by_index=[0, k - 1], check_finite=False)
+    if len(w) < k:
+        raise np.linalg.LinAlgError(f"found {len(w)} of the {k} lowest eigenpairs")
     return Spectrum(values=w, vectors=v)
 
 
@@ -115,7 +105,7 @@ def check_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
     ValueError (trace) or NegativeEigenvalueError.  Returns the input as a
     complex array.
     """
-    rho = require_hermitian(require_finite(np.asarray(rho, dtype=complex), name=name), name=name)
+    rho = require_hermitian(np.asarray(rho, dtype=complex), name=name)
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > TRACE_ATOL:
         raise ValueError(f"{name} has trace {tr}, expected 1 within {TRACE_ATOL:.1e}")
@@ -158,7 +148,7 @@ def clamp_spectrum(w: np.ndarray) -> np.ndarray:
 
 def vn_entropy(rho: np.ndarray) -> float:
     """Von Neumann entropy -Tr(rho log2 rho) in bits, with 0*log(0) = 0; DomainError for a non-finite entry."""
-    rho = require_hermitian(require_finite(rho, name="rho"), name="rho")
+    rho = require_hermitian(rho, name="rho")
     w = clamp_spectrum(np.linalg.eigvalsh(rho))
     nz = w[w > 0.0]
     return float(-(nz * np.log2(nz)).sum())

@@ -260,6 +260,14 @@ def test_simulate_refuses_a_kondo_coupling_near_the_float_limit(capsys):
     assert err == "tikm: jk must be at most 1e+150 in size, got 1e+308\n"
 
 
+def test_simulate_refuses_a_subnormal_kondo_coupling(capsys):
+    # below MIN_COUPLING, H_rest + p * H_p could round where the direct build
+    # does not; no printed number told such a coupling from 0
+    code, out, err = run(capsys, "simulate", "--sites", "8", "--jk", "5e-324", "--format", "json")
+    assert code == 2 and out == ""
+    assert err == "tikm: jk must be 0 or at least 8.9003e-308 in size, got 5e-324\n"
+
+
 @pytest.mark.parametrize(
     "flags",
     [
@@ -597,8 +605,8 @@ def test_unmapped_error_propagates(capsys, monkeypatch):
 
 def test_import_leaves_scipy_linalg_out():
     # importing scipy.linalg costs about 50 ms of start-up, which only a dense
-    # solve pays: `qmat.hermitian_eig(..., lowest=k)` loads it when it runs;
-    # scipy.special costs 50-70 ms, which only `rkky.f1` needs and loads
+    # solve pays: `qmat.hermitian_eig`, the one dense eigensolver, loads it
+    # when it runs; scipy.special costs 50-70 ms, which only `rkky.f1` needs and loads
     # when it runs; a fresh interpreter sees the imports
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

@@ -85,10 +85,19 @@ def test_model_refuses_couplings_near_the_float_limit(field):
     for value in (np.nextafter(ks.MAX_COUPLING, math.inf), 1e308):
         with pytest.raises(ValueError, match=f"{field} must be at most 1e\\+150 in size"):
             ks.ChainModel(sites=2, **{field: value})
+    # below MIN_COUPLING, p * H_p could round where the direct build does not
+    for value in (ks.MIN_COUPLING, 0.0, -0.0):
+        assert getattr(ks.ChainModel(sites=2, **{field: value}), field) == value
+    for value in (np.nextafter(ks.MIN_COUPLING, 0.0), 5e-324):
+        with pytest.raises(ValueError, match=f"{field} must be 0 or at least 8.9003e-308 in size"):
+            ks.ChainModel(sites=2, **{field: value})
     if field == "idirect":
         assert ks.ChainModel(sites=2, idirect=-ks.MAX_COUPLING).idirect == -ks.MAX_COUPLING
         with pytest.raises(ValueError, match="idirect must be at most"):
             ks.ChainModel(sites=2, idirect=-1e308)
+        assert ks.ChainModel(sites=2, idirect=-ks.MIN_COUPLING).idirect == -ks.MIN_COUPLING
+        with pytest.raises(ValueError, match="idirect must be 0 or at least"):
+            ks.ChainModel(sites=2, idirect=-5e-324)
 
 
 def test_couplings_at_the_bound_keep_the_solvers_squares_finite():
@@ -369,6 +378,11 @@ def test_reflection_conjugation_exact():
     assert abs(e1 - e2) <= 1e-12
 
 
+def _couplings(lo, hi):
+    """Floats in [lo, hi], with a size below MIN_COUPLING, which ChainModel refuses, drawn as a zero of its sign."""
+    return st.floats(lo, hi).map(lambda x: x if abs(x) >= ks.MIN_COUPLING else math.copysign(0.0, x))
+
+
 @st.composite
 def _centred_models(draw):
     """Models whose impurities sit at mirror sites (xa + xb = L - 1), a shared centre site included."""
@@ -376,9 +390,9 @@ def _centred_models(draw):
     xa = draw(st.integers(0, (sites - 1) // 2))
     return ks.ChainModel(
         sites=sites,
-        hopping=draw(st.floats(0.0, 2.0)),
-        jk=draw(st.floats(0.0, 3.0)),
-        idirect=draw(st.floats(-2.0, 2.0)),
+        hopping=draw(_couplings(0.0, 2.0)),
+        jk=draw(_couplings(0.0, 3.0)),
+        idirect=draw(_couplings(-2.0, 2.0)),
         xa=xa,
         xb=sites - 1 - xa,
         nup=draw(st.integers(0, sites)),
@@ -641,8 +655,8 @@ def _small_models(draw):
     xa = draw(st.integers(0, L - 1))
     return ks.ChainModel(
         sites=L,
-        jk=draw(st.floats(0.0, 3.0)),
-        idirect=draw(st.floats(-2.0, 2.0)),
+        jk=draw(_couplings(0.0, 3.0)),
+        idirect=draw(_couplings(-2.0, 2.0)),
         xa=xa,
         xb=draw(st.integers(xa, L - 1)),
         nup=draw(st.integers(0, L)),
@@ -700,8 +714,8 @@ def test_dense_residual_is_checked_at_the_same_exit(monkeypatch, solve_on):
     # the one residual check after both branches refuses it
     m = ks.ChainModel(sites=2, jk=0.5)
     h = ks.build_hamiltonian(m, ks.build_basis(m))
-    spec = qmat.hermitian_eig(h.toarray())
-    monkeypatch.setattr(qmat, "hermitian_eig", lambda a, lowest=None: qmat.Spectrum(spec.values, spec.vectors[:, ::-1]))
+    w, v = np.linalg.eigh(h.toarray())
+    monkeypatch.setattr(qmat, "hermitian_eig", lambda a, lowest: qmat.Spectrum(w, v[:, ::-1]))
     with pytest.raises(NotConvergedError, match="Dense stalled") as info:
         solve_on(h, "dense")
     assert info.value.iterations == 0
@@ -712,8 +726,7 @@ def test_dense_residual_is_checked_at_the_same_exit(monkeypatch, solve_on):
 @pytest.mark.parametrize("where", [(3, 3), (3, 5)], ids=["diagonal", "off-diagonal"])
 def test_dense_solve_of_a_non_finite_entry_exits_not_converged(entry, where):
     # the dense driver runs without scipy's finite check, whose ValueError
-    # would exit 2; a NaN fails the Hermiticity check, an inf that check's
-    # subtraction under np.errstate
+    # would exit 2; qmat's own finiteness check refuses a NaN or inf entry
     m = ks.ChainModel(sites=4, jk=0.5)
     h = ks.build_hamiltonian(m, ks.build_basis(m)).tolil()
     i, j = where
@@ -729,7 +742,7 @@ def _dense_models(draw):
     xa = draw(st.integers(0, L - 1))
 
     def coupling(lo, hi):
-        return draw(st.one_of(st.just(0.0), st.floats(lo, hi)))
+        return draw(st.one_of(st.just(0.0), _couplings(lo, hi)))
 
     return ks.ChainModel(
         sites=L,
@@ -752,9 +765,8 @@ def test_two_lowest_eigenpairs_solve_as_the_full_spectrum(model):
     # place gives the same verdict, energy, gap and f_s
     basis = ks.build_basis(model)
     h = ks.build_hamiltonian(model, basis)
-    full_eig = qmat.hermitian_eig
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qmat, "hermitian_eig", lambda a, lowest=None: full_eig(a))
+        mp.setattr(qmat, "hermitian_eig", lambda a, lowest: qmat.Spectrum(*np.linalg.eigh(a)))
         full = ks.ground_state(h)
     g = ks.ground_state(h)
     assert g.method == full.method == "dense"
@@ -948,7 +960,6 @@ def _outcome(analyze):
 @example((ks.ChainModel(sites=5, jk=0.7, nup=3, ndn=2), "idirect", 0.0, "dense"))
 @example((ks.ChainModel(sites=4, jk=0.9, idirect=0.4, xa=1, xb=1), "jk", 1.7, "dense"))  # shared site
 @example((ks.ChainModel(sites=6, jk=1.3, idirect=0.6), "idirect", -0.0, "lanczos"))  # -0.0 * H_p
-@example((ks.ChainModel(sites=4), "jk", 2 * 5e-324, "dense"))  # built directly: the sum would round
 def test_coupling_line_equals_a_rebuild(case):
     # H(p) = H_rest + p * H_p is exact: it is the rebuilt matrix array for
     # array, neither storing a zero, and the solves on both agree to the bit
@@ -973,7 +984,7 @@ def test_coupling_line_checks_its_coupling_and_values():
         with pytest.raises(ValueError, match="jk or idirect"):
             ks.CouplingLine(model, param)
     line = ks.CouplingLine(model, "jk")
-    for value in (-0.1, math.nan, math.inf):
+    for value in (-0.1, math.nan, math.inf, 5e-324):
         with pytest.raises(ValueError, match="jk must be"):
             line.hamiltonian(value)
 
@@ -1197,10 +1208,10 @@ def test_coupling_line_records_each_value_once_in_order():
     assert all(e == line.analyze(p).ground.energy for p, e, _ in line.points)
 
 
-#: Step of the central differences below.  Their rounding, a few
-#: eps max(1, |E|) / h, is about 1e-10 at L <= 6, and their truncation error,
-#: h^2 |d^3E/dp^3| / 6, grows only as a level nears the ground state; the
-#: worst difference from d over the drawn models is 5.7e-8.
+#: Largest step of the central differences below.  Their rounding is a few
+#: eps max(1, |E|) / h, and their distance from Simpson's rule on the recorded
+#: d, h^4 |d^5E/dp^5| / 180, grows only as a level nears the ground state, so
+#: a step also stays below a hundredth of the least gap of its three solves.
 _HF_STEP = 1e-4
 
 
@@ -1209,26 +1220,34 @@ _HF_STEP = 1e-4
 @example((ks.ChainModel(sites=6, jk=1.1, idirect=0.3, xa=0, xb=5), "idirect", -0.8, "lanczos"))
 @example((ks.ChainModel(sites=6, jk=2.0), "idirect", 0.25, "lanczos"))
 @example((ks.ChainModel(sites=5, jk=0.7, nup=3, ndn=2), "jk", 1.2, "dense"))
+# a level 0.0039 above the ground state: the central difference at h = 1e-4
+# missed d itself by 3.0e-6, an error that falls as h^2
+@example((ks.ChainModel(sites=3, idirect=2**-8, xa=0, xb=1, nup=0, ndn=1), "jk", 0.0, "dense"))
 def test_coupling_line_energy_slope_is_its_derivative(case):
     # H(p) = H_rest + p * H_p, so dE/dp = <psi|H_p|psi> (Hellmann-Feynman): the
-    # central difference of the line's energies matches the d it records, and
-    # on an idirect line, where H_p = S_A . S_B, d is the RDM's f_s
+    # central difference of the line's energies matches Simpson's rule on the
+    # d it records, and on an idirect line, where H_p = S_A . S_B, d is the
+    # RDM's f_s
     model, param, value, path = case
-    line = ks.CouplingLine(model, param)
     p, h = value + _HF_STEP, _HF_STEP
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ks, "DENSE_CUTOFF", line.basis.dim - (path == "lanczos"))
-        try:
-            a = line.analyze(p)
-            line.analyze(p - h)
-            line.analyze(p + h)
-        except DegenerateGroundError:
-            return  # d of a degenerate level depends on the vector the solver picks
-    (_, e_lo, _), (_, e, d), (_, e_hi, _) = line.points
-    assert a.ground.energy == e
-    assert abs((e_hi - e_lo) / (2 * h) - d) <= 1e-6
+    for _ in range(5):
+        line = ks.CouplingLine(model, param)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ks, "DENSE_CUTOFF", line.basis.dim - (path == "lanczos"))
+            try:
+                solves = [line.analyze(q) for q in (p, p - h, p + h)]
+            except DegenerateGroundError:
+                return  # d of a degenerate level depends on the vector the solver picks
+        gap = min(a.ground.gap for a in solves)
+        if gap >= 100 * h:
+            break
+        h = gap / 100
+    (p_lo, e_lo, d_lo), (_, e, d), (p_hi, e_hi, d_hi) = line.points
+    assert solves[0].ground.energy == e
+    slack = ks.HF_ENERGY_ULPS * np.finfo(float).eps * max(1.0, abs(e)) / ((p_hi - p_lo) / 2)
+    assert abs((e_hi - e_lo) / (p_hi - p_lo) - (d_lo + 4 * d + d_hi) / 6) <= 1e-6 + slack
     if param == "idirect":
-        assert abs(d - a.f_s) <= 1e-12
+        assert abs(d - solves[0].f_s) <= 1e-12
 
 
 # ---------------------------------------------------------------- sweep
@@ -1304,6 +1323,12 @@ def test_sweep_records_non_finite_separation_as_errors():
         ks.model_at(ks.ChainModel(sites=4), "separation", math.inf)
 
 
+def test_sweep_records_a_subnormal_coupling_as_an_error():
+    for param in ("jk", "idirect"):
+        (point,) = ks.sweep(ks.ChainModel(sites=4, jk=0.5), param, [5e-324])
+        assert point.error.startswith(f"ValueError: {param} must be 0 or at least") and point.f_s is None
+
+
 @pytest.mark.parametrize("model", [ks.ChainModel(sites=6), ks.ChainModel(sites=6, hopping=0.0, jk=1.0)], ids=["free", "no-hopping"])
 def test_sweep_refuses_a_mixed_lanczos_vector(model):
     # the S^z + 1 sector verdict alone reported these points, f_s 0.2006 and
@@ -1317,16 +1342,15 @@ def test_sweep_refuses_a_mixed_lanczos_vector(model):
 def _sweep_rows(draw):
     """A random L <= 6 model (placement, filling, hopping 0 or not), a coupling and a grid on it.
 
-    The grid mixes 0, -0.0, subnormal values (small multiples of the least
-    one among them, where p * H_p would round) and values of order one, of
-    either sign on ``idirect``.
+    The grid mixes 0, -0.0, small multiples of MIN_COUPLING (the least size
+    a model takes besides 0) and values of order one, of either sign on
+    ``idirect``.
     """
     model = replace(draw(_small_models()), hopping=draw(st.sampled_from((1.0, 0.0))))
     param = draw(st.sampled_from(("jk", "idirect")))
     size = st.one_of(
         st.sampled_from((0.0, -0.0)),
-        st.integers(1, 64).map(lambda k: k * 5e-324),
-        st.floats(0.0, sys.float_info.min, exclude_min=True, exclude_max=True),
+        st.integers(1, 64).map(lambda k: k * ks.MIN_COUPLING),
         st.floats(0.1, 3.0),
     )
     signed = size if param == "jk" else st.tuples(size, st.sampled_from((1.0, -1.0))).map(lambda v: v[0] * v[1])
@@ -1335,8 +1359,8 @@ def _sweep_rows(draw):
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(_sweep_rows())
-@example((ks.ChainModel(sites=4), "jk", [2 * 5e-324, 6 * 5e-324, 1.0]))  # two jk / 4 terms on a diagonal entry
-@example((ks.ChainModel(sites=4, jk=0.7, xa=1, xb=1), "idirect", [-0.0, -3 * 5e-324, 0.0, -1.5]))
+@example((ks.ChainModel(sites=4), "jk", [2 * ks.MIN_COUPLING, 6 * ks.MIN_COUPLING, 1.0]))  # two jk / 4 terms on a diagonal entry
+@example((ks.ChainModel(sites=4, jk=0.7, xa=1, xb=1), "idirect", [-0.0, -3 * ks.MIN_COUPLING, 0.0, -1.5]))
 def test_sweep_builds_each_hamiltonian_as_the_direct_build(row):
     # inside a sweep, H is H_rest + p * H_p on a basis its points share, in the
     # natural sector and in the sector singlet_check solves; each must be the
