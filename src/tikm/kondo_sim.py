@@ -1005,18 +1005,23 @@ class CouplingLine:
     the RDM's f_s against the energies; a vector that mixes a degenerate
     ground level passes it, and ``Analysis.singlet`` refuses it instead.
 
-    A fresh line solves each point from ``ground_state``'s seeded start.
-    ``find_crossing`` warm-starts its solves from solved neighbours instead:
+    The warm-start rule.  Outside a crossing search the line solves each
+    point from ``ground_state``'s seeded start.  While ``find_crossing``
+    runs, the line records the outcome of every solve by value, a ground
+    state or the exception it raised, and drops the record when the search
+    returns or raises:
 
-    * it first solves its start points ahead in two fixed chains
-      (``_solve_ahead``), each point from the ground vector of the one
-      before it in its chain, and ``analyze`` takes the stored ground state,
-      or raises the stored exception, of a point solved so;
-    * while it runs, the line keeps the ground vector of each point it
-      analyzes, and the search drops all but the bracket ends before each
-      step (``_keep_starts``), so once the steps begin the line holds at
-      most three; a point not solved ahead starts from the kept vector
-      nearest to it, the lower one on a tie.
+    * the search first solves its start points ahead in two fixed chains
+      (``_solve_ahead``), the head of each chain cold and every other point
+      from the ground vector of the one before it in its chain, and skips a
+      point whose f_s the line holds;
+    * ``analyze`` takes the recorded ground state, or raises the recorded
+      exception, of a point solved so, and records the ground state of
+      every point it analyzes;
+    * any other point starts from the recorded ground vector nearest to it,
+      the lower one on a tie.  No solved point lies strictly inside the
+      search's bracket, so on a fresh line a step starts from the nearer
+      bracket end.
 
     Everything a point does besides ground_state(H(p)), the bracket check,
     the RDM and the S^2 check, runs on the calling thread in the order the
@@ -1032,9 +1037,8 @@ class CouplingLine:
         self._rest, self._unit = _coupling_pair(model, param, self.basis)
         self.points: list[tuple[float, float, float]] = []
         self._correlations: dict[float, float] = {}
-        self._ahead: dict[float, GroundStateResult | Exception] = {}
-        #: ground vectors kept as warm starts, by value; None when none are kept
-        self._starts: dict[float, np.ndarray] | None = None
+        #: a running search's solves by value (the warm-start rule above); None outside a search
+        self._solves: dict[float, GroundStateResult | Exception] | None = None
 
     def hamiltonian(self, value: float) -> sparse.csr_matrix:
         """H at ``param`` = ``value``; ``value`` is checked as ``ChainModel`` checks that coupling."""
@@ -1045,41 +1049,39 @@ class CouplingLine:
         value = float(value)
         g = self._solve(value)
         self._add_point(value, g)
-        if self._starts is not None:
-            self._starts[value] = g.amplitudes
+        if self._solves is not None:
+            self._solves[value] = g
         return _reduce(self.basis, g)
 
     def _solve(self, value: float) -> GroundStateResult:
-        """What ``_solve_ahead`` stored for ``value``, which it then forgets, or ground_state(H(value)) from the nearest kept start."""
-        outcome = self._ahead.pop(value, None)
-        if outcome is None:
-            start = None
-            if self._starts:
-                start = self._starts[min(self._starts, key=lambda p: (abs(p - value), p))]
-            return ground_state(self.hamiltonian(value), start)
+        """The outcome recorded for ``value``, or ground_state(H(value)) from the nearest recorded ground vector."""
+        solves = self._solves or {}
+        outcome = solves.get(value)
         if isinstance(outcome, Exception):
             raise outcome
-        return outcome
-
-    def _keep_starts(self, *values: float) -> None:
-        """Keep the ground vectors of ``values`` alone as the warm starts of the solves that follow."""
-        self._starts = {p: self._starts[p] for p in values if p in self._starts}
+        if outcome is not None:
+            return outcome
+        solved = [p for p, g in solves.items() if isinstance(g, GroundStateResult)]
+        near = min(solved, key=lambda p: (abs(p - value), p), default=None)
+        return ground_state(self.hamiltonian(value), None if near is None else solves[near].amplitudes)
 
     def _solve_ahead(self, values: list[float], concurrent: bool) -> None:
-        """Solve ground_state(H(v)) for every v of ``values`` in two chains, and store each outcome for ``_solve``.
+        """Solve ground_state(H(v)) in two chains for each v of ``values`` without an f_s, and record each outcome.
 
-        The chains run outward from the middle of ``values``: down from the
-        middle one to the first, and up from the next to the last.  The head
-        of each chain starts cold, and every other point from the ground
-        vector of the last point of its chain solved without error.  So each
-        start vector is fixed by ``values`` alone.  With ``concurrent`` a
-        worker thread runs the upper chain while the calling thread runs the
-        lower one; otherwise the calling thread runs both, one after the
-        other.  An exception is stored for its value and raised when
-        ``_solve`` takes it.  The caller pins numpy's BLAS pool to one
-        thread first, as two threads that share a pool of two wait for each
-        other.
+        The chains run outward from the middle of those values: down from
+        the middle one to the first, and up from the next to the last.  The
+        head of each chain starts cold, and every other point from the
+        ground vector of the last point of its chain solved without error
+        (the warm-start rule, in the class docstring).  So each start vector
+        is fixed by ``values`` and the f_s the line holds.  With
+        ``concurrent`` a worker thread runs the upper chain while the
+        calling thread runs the lower one; otherwise the calling thread runs
+        both, one after the other.  An exception is recorded for its value
+        and raised when ``_solve`` takes it.  The caller pins numpy's BLAS
+        pool to one thread first, as two threads that share a pool of two
+        wait for each other.
         """
+        values = [v for v in values if v not in self._correlations]
         mid = (len(values) - 1) // 2
         chains = (values[mid::-1], values[mid + 1 :])
 
@@ -1089,9 +1091,9 @@ class CouplingLine:
                 try:
                     g = ground_state(self.hamiltonian(value), start)
                 except Exception as exc:  # raised again in the search's order, by _solve
-                    self._ahead[value] = exc
+                    self._solves[value] = exc
                 else:
-                    self._ahead[value] = g
+                    self._solves[value] = g
                     start = g.amplitudes
 
         if not concurrent:
@@ -1210,15 +1212,13 @@ def find_crossing(
     order does not matter.
 
     Solves start warm, from solved neighbours (``ground_state``'s
-    ``start``).  The start points, the pre-grid or the two ends, are solved
-    first, in two fixed chains running outward from the middle of the
-    pre-grid, each point from the ground vector of the one before it in its
-    chain (``CouplingLine._solve_ahead``); the two ends of an ``idirect``
-    line are one chain each and start cold.  Each step starts from the
-    ground vector of the bracket end nearer to it, the lower end on a tie,
-    and the line keeps no other vector.  The checks above then run on the
-    calling thread in grid order, so the first error in that order is the
-    one raised; a search that fails has solved every start point.
+    ``start``), by the warm-start rule in ``CouplingLine``'s docstring: the
+    start points, the pre-grid or the two ends, are solved first, in two
+    fixed chains (``CouplingLine._solve_ahead``), and the line keeps every
+    ground state the search solved until it returns or raises.  The checks
+    above then run on the calling thread in grid order, so the first error
+    in that order is the one raised; a search that fails has solved every
+    start point whose f_s the line lacked.
 
     From its first solve to its return the search holds numpy's OpenBLAS
     pool at one thread (``_BlasPool``), so every reduction it prints runs
@@ -1251,13 +1251,13 @@ def find_crossing(
     # the bracket check the line runs makes f_s monotone in idirect, so its ends suffice
     xs = np.linspace(lo, hi, 2**PRE_GRID_LEVELS + 1 if line.param == "jk" else 2).tolist()
     with _NUMPY_BLAS.one_thread() as pinned:
-        line._starts = {}
+        line._solves = {}
         try:
             line._solve_ahead(xs, concurrent=pinned and _usable_cpus() > 1)
             return _search(line, xs, target_fs, tol)
         finally:
-            line._ahead.clear()
-            line._starts = None
+            line._solves.clear()  # emptied, as the frames of a raised exception can still refer to it
+            line._solves = None
 
 
 def _search(line: CouplingLine, xs: list[float], target_fs: float, tol: float) -> float:
@@ -1309,7 +1309,6 @@ def _search(line: CouplingLine, xs: list[float], target_fs: float, tol: float) -
             if abs(estimate - last) <= 0.5 * step_before_last:
                 x = estimate
         step_before_last, step_last = step_last, abs(x - last)
-        line._keep_starts(a, b)
         g_x = line.correlation(x) - target_fs
         if abs(g_x) < 1e-12:
             return x

@@ -74,8 +74,9 @@ def excite_solve(monkeypatch):
     (``CouplingLine._solve``): on the calling thread, the start points in
     grid order and then the steps, whichever thread solved the start points
     ahead and in what order.  So the n-th is the same point in every mode of
-    ``start_points``, and while a search runs the line keeps the excited
-    vector as a warm start like any other.  The pair comes from a
+    ``start_points``, and while a search runs ``analyze`` records the
+    excited ground state like any other, so it can start later solves (the
+    warm-start rule in ``CouplingLine``'s docstring).  The pair comes from a
     dense eigensolve of the three lowest levels, so keep to sectors small
     enough for one; every other point solves as usual.
     """

@@ -1131,6 +1131,137 @@ def test_find_crossing_raises_the_first_error_in_grid_order(start_points, excite
     assert [p for p, _, _ in errors[0][1]] == [1.0, 1.125]
 
 
+def _watch_solves(mp):
+    """Record (value, start value, result) for each ground_state(H(value)) on a line, the start mapped back by identity.
+
+    The start value is None for a cold start, and otherwise the value whose
+    solve returned the vector that ``start`` is.
+    """
+    matrices, solves = [], []
+    hamiltonian, ground_state = ks.CouplingLine.hamiltonian, ks.ground_state
+
+    def building(line, value):
+        h = hamiltonian(line, value)
+        matrices.append((h, value))
+        return h
+
+    def solving(h, start=None):
+        (value,) = [v for m, v in matrices if m is h]
+        (origin,) = [None] if start is None else [v for v, _, g in solves if g.amplitudes is start]
+        g = ground_state(h, start)
+        solves.append((value, origin, g))
+        return g
+
+    mp.setattr(ks.CouplingLine, "hamiltonian", building)
+    mp.setattr(ks, "ground_state", solving)
+    return solves
+
+
+@pytest.mark.parametrize(
+    "fixed, param, lo, hi, starts, bisect",
+    [({}, "jk", 0.5, 6.0, 9, False), ({"jk": 2.0}, "idirect", -0.5, 2.0, 2, False), ({}, "jk", 0.5, 6.0, 9, True)],
+    ids=["jk", "idirect", "jk-bisect"],
+)
+def test_each_solve_of_a_search_starts_from_the_vector_the_warm_start_rule_names(
+    start_points, fixed, param, lo, hi, starts, bisect
+):
+    # L = 6 runs Lanczos (dim 1250).  The chain heads, the middle of the
+    # pre-grid and the point after it, start cold, every other start point
+    # from its predecessor in its chain, and each step from the nearer end of
+    # the bracket it lands in, the lower one on a tie; after the search the
+    # line starts cold again.  With no estimate every step bisects, so the
+    # ends tie
+    target = werner.CRITICAL_CORRELATION
+    xs = np.linspace(lo, hi, starts).tolist()
+    mid = (starts - 1) // 2
+    chained = {x: None if k in (mid, mid + 1) else xs[k + 1] if k < mid else xs[k - 1] for k, x in enumerate(xs)}
+    for mode in start_points.modes:
+        with start_points(mode), pytest.MonkeyPatch.context() as mp:
+            solves = _watch_solves(mp)
+            if bisect:
+                mp.setattr(ks, "_inverse_cubic_root", lambda solved, a, b: math.nan)
+            line = ks.CouplingLine(ks.ChainModel(sites=6, **fixed), param)
+            value = ks.find_crossing(line, lo, hi, tol=1e-4)
+            assert sorted((v, origin) for v, origin, _ in solves[:starts]) == sorted(chained.items())
+            steps = [(v, origin) for v, origin, _ in solves[starts:]]
+            assert steps and value in [v for v, _ in steps]
+            g = {p: line.correlation(p) - target for p in chained.keys() | {v for v, _ in steps}}
+            k = next(k for k in range(starts - 1) if g[xs[k]] * g[xs[k + 1]] < 0.0)
+            a, b = xs[k], xs[k + 1]
+            ties = 0
+            for x, origin in steps:
+                assert a < x < b and origin == (a if x - a <= b - x else b), (mode, a, x, b, origin)
+                ties += x - a == b - x
+                if (g[x] > 0.0) == (g[a] > 0.0):
+                    a = x
+                else:
+                    b = x
+            assert (ties > 0) == bisect
+            del solves[:]
+            line.analyze(0.5 * (a + b))
+            assert [origin for _, origin, _ in solves] == [None]
+
+
+def test_a_repeat_search_solves_no_point_whose_fs_the_line_holds(monkeypatch):
+    # the reversed search has the start points and the steps of the first,
+    # whose f_s the line holds, so it returns the same value without a solve;
+    # a finer one solves only the points the line lacks, each once
+    calls = []
+    ground_state = ks.ground_state
+    monkeypatch.setattr(ks, "ground_state", lambda h, start=None: calls.append(h) or ground_state(h, start))
+    line = ks.CouplingLine(ks.ChainModel(sites=6), "jk")
+    value = ks.find_crossing(line, 1.0, 3.0)
+    assert len(calls) == len(line.points) > 9
+    calls.clear()
+    assert ks.find_crossing(line, 3.0, 1.0) == value
+    assert calls == []
+    solved = len(line.points)
+    ks.find_crossing(line, 1.0, 3.0, tol=1e-7)
+    assert 0 < len(calls) == len(line.points) - solved
+
+
+def test_a_search_keeps_no_solve_once_it_returns_or_raises(excite_solve, monkeypatch):
+    # the line records every ground state a search solves, and empties and
+    # drops the record when the search returns, when it finds no bracket,
+    # when a start point breaks the Hellmann-Feynman bracket (the search of
+    # test_find_crossing_raises_the_first_error_in_grid_order), and when a
+    # chain head's solve raises
+    held, errors, nan_at = [], [], []
+    ground_state, hamiltonian = ks.ground_state, ks.CouplingLine.hamiltonian
+
+    def solving(h, start=None):
+        g = ground_state(h, start)
+        held.append(weakref.ref(g))
+        return g
+
+    monkeypatch.setattr(ks, "ground_state", solving)
+    monkeypatch.setattr(ks.CouplingLine, "hamiltonian",
+                        lambda line, v: hamiltonian(line, v) * (math.nan if v in nan_at else 1.0))
+    lines = [ks.CouplingLine(ks.ChainModel(sites=6, jk=2.0), "idirect")]
+    assert isinstance(ks.find_crossing(lines[0], -0.5, 2.0, tol=1e-4), float)
+    for nan, excited, lo, hi, error, match in [
+        (None, None, 3.5, 6.0, NoBracketError, "does not cross"),
+        (1.75, 3, 1.0, 2.0, NotConvergedError, "break the Hellmann-Feynman bracket"),
+        (1.625, None, 1.0, 2.0, NotConvergedError, "non-finite"),
+    ]:
+        nan_at[:] = [nan]
+        if excited:
+            excite_solve(excited)
+        lines.append(ks.CouplingLine(ks.ChainModel(sites=4), "jk"))
+        with pytest.raises(error, match=match) as info:
+            ks.find_crossing(lines[-1], lo, hi, tol=1e-4)
+        errors.append(info)
+    del info
+    assert len(held) > 20 and all(line._solves is None for line in lines)
+    gc.collect()
+    # a kept error keeps the frames it was raised through; of those, only the
+    # frame of the chain that raised holds a ground state, the last it solved
+    assert sum(ref() is not None for ref in held) <= 1
+    errors.clear()
+    gc.collect()
+    assert all(ref() is None for ref in held)
+
+
 #: Run in a fresh interpreter: the thread counts of numpy's and scipy's
 #: bundled OpenBLAS pools, set to 2 first, after a dense solve, during and
 #: after a crossing search that returns, and after two that raise.
